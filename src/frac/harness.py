@@ -191,8 +191,8 @@ def _hit_rate_chunk(args) -> np.ndarray:
                         found = set(sol.support)
                     else:
                         sol = bp_recover(y, dic, eps=default_bp_eps(cfg, sigma))
-                        top = np.argsort(-np.abs(sol.dense()))[:count]
-                        found = set(int(i) for i in top)
+                        top = np.argsort(-np.abs(sol.coeffs))[:count]
+                        found = set(sol.support[i] for i in top)
                 except NonConvergenceError:
                     found = set()
                 if found != flats:

@@ -9,9 +9,9 @@ fine ranges/velocities/angles are signed offsets around the cell center.
 Two solvers are provided: greedy orthogonal matching pursuit with
 least-squares refitting, and an ADMM basis-pursuit solver handling both the
 equality (eps = 0) and noisy inequality constraint through an l2-ball
-projection.  The ADMM linear solve uses the small R x R Gram factor
-(I + A A^H) via the matrix-inversion identity, so the per-iteration cost is
-two dictionary products.
+projection.  The ADMM linear solve uses the inverse of the small row-space
+matrix (I + A A^H) via the matrix-inversion identity, so the per-iteration
+cost is two dictionary products.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .config import SystemConfig
 from .im_codec import PulseSelection, selection_arrays
@@ -87,6 +86,7 @@ class SparseScene:
     residual_norm: float
     n_columns: int
     iterations: int
+    converged: bool = True
 
     def dense(self) -> np.ndarray:
         b = np.zeros(self.n_columns, dtype=np.complex128)
@@ -226,15 +226,21 @@ def bp_recover(
 
     Splitting: b = z carries the l1 term, s = A b - y lives in the l2 ball of
     radius eps (eps = 0 reproduces the equality-constrained program).  The
-    b-update solves (I + A A^H) in the row dimension once per iteration from
-    a cached Cholesky factor; the factor is penalty-free, so the usual
-    residual-balancing penalty updates cost nothing.  When the residuals have
-    not met ``tol`` after ``max_iter`` sweeps, raises
-    :class:`NonConvergenceError` (``on_limit="raise"``) or returns the last
-    iterate (``on_limit="return"``).
+    b-update solves (I + A^H A) b = zu + A^H c through the matrix-inversion
+    identity with G = A A^H and W = (I + G)^-1, both row-dimension square
+    and computed once per call: w = A zu + G c gives b = zu + A^H (c - W w)
+    and A b = W w, so an iteration costs two dictionary products.  W is
+    penalty-free, so the usual residual-balancing penalty updates cost
+    nothing.  When ||y|| <= eps, b = 0 is feasible and optimal and is returned
+    without iterating.  When the residuals have not met ``tol`` after
+    ``max_iter`` sweeps, raises :class:`NonConvergenceError`
+    (``on_limit="raise"``) or returns the last iterate with ``converged``
+    false (``on_limit="return"``).
     """
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if on_limit not in ("raise", "return"):
         raise ValueError(f"on_limit must be 'raise' or 'return', got {on_limit!r}")
     A = dic.A
@@ -242,26 +248,32 @@ def bp_recover(
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"snapshot length {y.shape[0]} != dictionary rows {A.shape[0]}")
     n_rows, n_cols = A.shape
-    gram = A @ A.conj().T
-    chol = np.linalg.cholesky(np.eye(n_rows) + gram)
-
-    def solve_normal(rhs: np.ndarray) -> np.ndarray:
-        # (I + A^H A)^{-1} rhs = rhs - A^H (I + A A^H)^{-1} A rhs
-        w = A @ rhs
-        w = solve_triangular(chol, w, lower=True)
-        w = solve_triangular(chol.conj().T, w, lower=False)
-        return rhs - A.conj().T @ w
+    y_norm = float(np.linalg.norm(y))
+    if y_norm <= eps:
+        return SparseScene(
+            support=(),
+            coeffs=np.zeros(0, dtype=np.complex128),
+            residual_norm=y_norm,
+            n_columns=n_cols,
+            iterations=0,
+        )
+    AH = np.ascontiguousarray(A.conj().T)
+    G = A @ AH
+    W = np.linalg.inv(np.eye(n_rows) + G)
 
     z = np.zeros(n_cols, dtype=np.complex128)
     s = np.zeros(n_rows, dtype=np.complex128)
     u1 = np.zeros(n_cols, dtype=np.complex128)
     u2 = np.zeros(n_rows, dtype=np.complex128)
-    y_scale = max(1.0, float(np.linalg.norm(y)))
+    y_scale = max(1.0, y_norm)
     converged = False
     adapts_left = 30
     for it in range(1, max_iter + 1):
-        b = solve_normal((z - u1) + A.conj().T @ (y + s - u2))
-        Ab = A @ b
+        zu = z - u1
+        c = y + s - u2
+        w = A @ zu + G @ c
+        Ab = W @ w
+        b = zu + AH @ (c - Ab)
         z_prev, s_prev = z, s
         v = b + u1
         mag = np.abs(v)
@@ -309,6 +321,7 @@ def bp_recover(
         residual_norm=float(np.linalg.norm(A @ z - y)),
         n_columns=n_cols,
         iterations=it,
+        converged=converged,
     )
 
 

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+import frac.harness
 from frac.config import reference_config
 from frac.harness import (
     hw_report,
@@ -124,6 +125,23 @@ def test_hit_rate_random_scene_and_bp():
         run_hit_rate(cfg, [10.0], trials=2, scene_mode="nope")
     with pytest.raises(ValueError):
         run_hit_rate(cfg, [10.0], trials=2, solver="nope")
+
+
+def test_hit_rate_bp_empty_noise_ball_scores_miss(monkeypatch):
+    # at 10 dB the reference scene's first cell has ||y|| below the noise
+    # radius: BP returns the empty scene at once and the trial is a miss
+    solve = frac.harness.bp_recover
+    iterations = []
+
+    def recording_bp(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(frac.harness, "bp_recover", recording_bp)
+    pts = run_hit_rate(reference_config(), [10.0], trials=1, seed=0, solver="bp")
+    assert pts[0].hits == 0
+    assert iterations and all(it == 0 for it in iterations)
 
 
 # ----------------------------------------------------------------------

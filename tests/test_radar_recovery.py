@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from frac.config import reference_config
 from frac.im_codec import random_selection_sequence
@@ -174,6 +177,7 @@ def test_bp_equality_recovery(dic):
     sol = bp_recover(y, dic, eps=0.0)
     err = np.linalg.norm(sol.dense() - b0)
     assert err < 1e-4
+    assert sol.converged
     assert set(flats.tolist()) <= set(sol.support)
 
 
@@ -202,10 +206,148 @@ def test_bp_raises_then_returns(dic):
         bp_recover(y, dic, eps=0.0, max_iter=3)
     sol = bp_recover(y, dic, eps=0.0, max_iter=3, on_limit="return")
     assert sol.iterations == 3
+    assert not sol.converged
     with pytest.raises(ValueError):
         bp_recover(y, dic, eps=-1.0)
     with pytest.raises(ValueError):
         bp_recover(y, dic, on_limit="explode")
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_bp_rejects_nonpositive_max_iter(dic, max_iter):
+    y, _ = _planted(dic, [5], np.array([1.0]))
+    with pytest.raises(ValueError, match="max_iter"):
+        bp_recover(y, dic, max_iter=max_iter, on_limit="return")
+
+
+def test_bp_empty_noise_ball_returns_zero(dic):
+    # ||y|| <= eps makes b = 0 feasible, hence optimal: no iterations run
+    y, _ = _planted(dic, [5, 9], np.array([1.0, 1.0j]))
+    y_norm = float(np.linalg.norm(y))
+    for y_in, eps in ((y, y_norm), (y, 2.0 * y_norm), (np.zeros_like(y), 0.0)):
+        sol = bp_recover(y_in, dic, eps=eps)
+        assert sol.support == ()
+        assert sol.coeffs.shape == (0,)
+        assert sol.iterations == 0
+        assert sol.converged
+        assert sol.residual_norm == pytest.approx(float(np.linalg.norm(y_in)))
+        np.testing.assert_array_equal(sol.dense(), 0.0)
+
+
+# ----------------------------------------------------------------------
+# basis pursuit against the dense four-product reference
+# ----------------------------------------------------------------------
+
+def _bp_reference(y, A, eps=0.0, rho=1.0, max_iter=10000, tol=1e-6,
+                  support_threshold=1e-3):
+    """ADMM basis pursuit with the b-update as two Cholesky triangular solves
+    and four dictionary products per iteration; returns (z, iterations,
+    converged, support)."""
+    n_rows, n_cols = A.shape
+    chol = np.linalg.cholesky(np.eye(n_rows) + A @ A.conj().T)
+
+    def solve_normal(rhs):
+        w = A @ rhs
+        w = solve_triangular(chol, w, lower=True)
+        w = solve_triangular(chol.conj().T, w, lower=False)
+        return rhs - A.conj().T @ w
+
+    z = np.zeros(n_cols, dtype=np.complex128)
+    s = np.zeros(n_rows, dtype=np.complex128)
+    u1 = np.zeros(n_cols, dtype=np.complex128)
+    u2 = np.zeros(n_rows, dtype=np.complex128)
+    y_scale = max(1.0, float(np.linalg.norm(y)))
+    converged = False
+    adapts_left = 30
+    for it in range(1, max_iter + 1):
+        b = solve_normal((z - u1) + A.conj().T @ (y + s - u2))
+        Ab = A @ b
+        z_prev, s_prev = z, s
+        v = b + u1
+        mag = np.abs(v)
+        thresh = 1.0 / rho
+        z = np.where(mag > thresh, (1.0 - thresh / np.maximum(mag, 1e-300)) * v, 0.0)
+        w = Ab - y + u2
+        wn = float(np.linalg.norm(w))
+        s = w if wn <= eps else (eps / wn) * w
+        r1 = b - z
+        r2 = Ab - y - s
+        u1 = u1 + r1
+        u2 = u2 + r2
+        prim = max(float(np.linalg.norm(r1)), float(np.linalg.norm(r2)))
+        dual = rho * max(float(np.linalg.norm(z - z_prev)), float(np.linalg.norm(s - s_prev)))
+        if prim <= tol * y_scale and dual <= tol * y_scale:
+            converged = True
+            break
+        if it % 10 == 0 and adapts_left > 0:
+            if prim > 10.0 * dual:
+                rho *= 2.0
+                u1 *= 0.5
+                u2 *= 0.5
+                adapts_left -= 1
+            elif dual > 10.0 * prim:
+                rho *= 0.5
+                u1 *= 2.0
+                u2 *= 2.0
+                adapts_left -= 1
+    keep = np.abs(z) > support_threshold * max(np.abs(z).max(), 1e-300)
+    return z, it, converged, tuple(int(i) for i in np.nonzero(keep)[0])
+
+
+_SMALL_CONFIGS = st.fixed_dictionaries({
+    "N": st.sampled_from([4, 8]),
+    "M": st.sampled_from([2, 4]),
+    "K": st.integers(1, 2),
+    "P": st.sampled_from([2, 4]),
+    "Q_r": st.integers(1, 2),
+})
+
+
+@given(_SMALL_CONFIGS, st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_bp_matches_four_product_reference(params, n_sparse, noisy, seed):
+    cfg = reference_config(**params)
+    rng = np.random.default_rng(seed)
+    dic = build_dictionary(random_selection_sequence(cfg, rng), cfg)
+    flats = rng.choice(dic.A.shape[1], size=n_sparse, replace=False)
+    y, _ = _planted(dic, flats, np.exp(2j * np.pi * rng.random(n_sparse)))
+    eps = 0.0
+    if noisy:
+        sigma = 0.05
+        y = y + sigma / np.sqrt(2) * (
+            rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+        )
+        eps = default_bp_eps(cfg, sigma)
+    sol = bp_recover(y, dic, eps=eps, max_iter=3000, on_limit="return")
+    z_ref, it_ref, converged_ref, support_ref = _bp_reference(y, dic.A, eps=eps, max_iter=3000)
+    assert sol.iterations == it_ref
+    assert sol.converged == converged_ref
+    assert sol.support == support_ref
+    np.testing.assert_allclose(sol.coeffs, z_ref[list(support_ref)], rtol=0, atol=1e-8)
+
+
+@given(st.integers(1, 24), st.integers(1, 64), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_inverse_gram_identity(n_rows, n_cols, seed):
+    # with G = A A^H and W = (I + G)^-1, the b-update
+    # b = zu + A^H (c - W w), w = A zu + G c, has A b = W w
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A, zu, c = cn(n_rows, n_cols), cn(n_cols), cn(n_rows)
+    G = A @ A.conj().T
+    W = np.linalg.inv(np.eye(n_rows) + G)
+    w = A @ zu + G @ c
+    b = zu + A.conj().T @ (c - W @ w)
+    scale = 1.0 + np.linalg.norm(A, 2) ** 2
+    np.testing.assert_allclose(A @ b, W @ w, rtol=0, atol=1e-10 * scale * np.linalg.norm(w))
+    # and b solves the normal equations of the penalty-free Gram
+    np.testing.assert_allclose(
+        b + A.conj().T @ (A @ b), zu + A.conj().T @ c,
+        rtol=0, atol=1e-10 * scale * (np.linalg.norm(zu) + np.linalg.norm(A, 2) * np.linalg.norm(c)),
+    )
 
 
 def test_recovered_targets_view(cfg, dic):
