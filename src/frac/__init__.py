@@ -25,7 +25,7 @@ from .radar_recovery import (
     omp_recover,
     physical_to_grid,
 )
-from .ambiguity import expected_af, instantaneous_af, resolutions
+from .ambiguity import expected_af, instantaneous_af
 from .phase_transition import approx_threshold, pt_integral, solve_threshold
 from .comm import (
     baseband_waveforms,
@@ -60,7 +60,6 @@ __all__ = [
     "physical_to_grid",
     "expected_af",
     "instantaneous_af",
-    "resolutions",
     "approx_threshold",
     "pt_integral",
     "solve_threshold",

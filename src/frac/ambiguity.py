@@ -1,4 +1,4 @@
-"""Ambiguity function of the index-modulated CPI and derived resolutions.
+"""Ambiguity function of the index-modulated CPI.
 
 The instantaneous ambiguity function of one CPI's carrier/antenna draw is
 
@@ -12,12 +12,12 @@ magnitude factors into three Dirichlet kernels,
 
 whose first nulls at 1/M, 1/N and 1/(P Q_r) set the range, velocity and
 angle resolutions.
+
+The phasor separates, so a sum of chi over CPIs needs only C[n,m,p], how often pulse n drew (m,p):
+    sum chi = sum_n E_v[n] sum_{m,p} C[n,m,p] E_r[m] E_t[p]   (times the q_r sum).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,27 +25,14 @@ from .config import SystemConfig
 from .im_codec import PulseSelection, selection_arrays
 
 __all__ = [
-    "Resolutions",
     "dirichlet",
     "instantaneous_af",
     "expected_af",
     "mc_mean_af",
-    "resolutions",
 ]
 
 # treat |sin(pi x)| below this as the removable singularity of the kernel
 _SING_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class Resolutions:
-    range_m: float
-    velocity_mps: float
-    angle_rad: float
-
-    @property
-    def angle_deg(self) -> float:
-        return math.degrees(self.angle_rad)
 
 
 def dirichlet(L: int, x) -> np.ndarray:
@@ -59,6 +46,39 @@ def dirichlet(L: int, x) -> np.ndarray:
     return out
 
 
+def _offsets(df_r, df_v, df_t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.broadcast_arrays(
+        np.asarray(df_r, dtype=float),
+        np.asarray(df_v, dtype=float),
+        np.asarray(df_t, dtype=float),
+    )
+
+
+def _pair_counts(cfg: SystemConfig, m_sel: np.ndarray, p_sel: np.ndarray) -> np.ndarray:
+    """Flat C[n, m, p] from (..., N, K) carrier and antenna draws paired by slot."""
+    n = np.arange(cfg.N)[:, None]
+    flat = (n * cfg.M + m_sel) * cfg.P + p_sel
+    return np.bincount(flat.reshape(-1), minlength=cfg.N * cfg.M * cfg.P)
+
+
+def _chi_from_counts(
+    cfg: SystemConfig, counts: np.ndarray, df_r: np.ndarray, df_v: np.ndarray, df_t: np.ndarray
+) -> np.ndarray:
+    """sum_{n,m,p} C[n,m,p] E_v[n] E_r[m] E_t[p] times the q_r sum, at each
+    offset of the same-shape arrays."""
+    shape = df_r.shape
+    pts_r, pts_v, pts_t = df_r.reshape(-1), df_v.reshape(-1), df_t.reshape(-1)
+
+    def table(count: int, step: int, pts: np.ndarray) -> np.ndarray:
+        return np.exp(-2j * np.pi * (step * np.arange(count))[:, None] * pts[None, :])
+
+    e_rt = table(cfg.M, 1, pts_r)[:, None, :] * table(cfg.P, cfg.Q_r, pts_t)[None, :, :]
+    per_pulse = counts.reshape(cfg.N, cfg.M * cfg.P) @ e_rt.reshape(cfg.M * cfg.P, -1)
+    chi = (table(cfg.N, 1, pts_v) * per_pulse).sum(axis=0)
+    chi *= table(cfg.Q_r, 1, pts_t).sum(axis=0)
+    return chi.reshape(shape)
+
+
 def instantaneous_af(
     cfg: SystemConfig,
     selections: list[PulseSelection],
@@ -67,34 +87,13 @@ def instantaneous_af(
     df_t,
 ) -> np.ndarray:
     """Complex chi of one CPI at broadcastable offset arrays."""
-    df_r, df_v, df_t = np.broadcast_arrays(
-        np.asarray(df_r, dtype=float),
-        np.asarray(df_v, dtype=float),
-        np.asarray(df_t, dtype=float),
-    )
-    shape = df_r.shape
-    pts_r, pts_v, pts_t = df_r.reshape(-1), df_v.reshape(-1), df_t.reshape(-1)
     m_idx, p_idx, _ = selection_arrays(selections)          # (N, K)
-    n = np.arange(cfg.N)[:, None]
-    qr = np.arange(cfg.Q_r)
-    # sum over q_r factors out of the (n, k) sum
-    qr_factor = np.exp(-2j * np.pi * qr[:, None] * pts_t[None, :]).sum(axis=0)
-    phase = (
-        m_idx[..., None] * pts_r
-        + n[..., None] * pts_v
-        + (cfg.Q_r * p_idx[..., None]) * pts_t
-    )
-    chi = np.exp(-2j * np.pi * phase).sum(axis=(0, 1)) * qr_factor
-    return chi.reshape(shape)
+    return _chi_from_counts(cfg, _pair_counts(cfg, m_idx, p_idx), *_offsets(df_r, df_v, df_t))
 
 
 def expected_af(cfg: SystemConfig, df_r, df_v, df_t) -> np.ndarray:
     """|E chi| over uniform selections (closed form; peak value N K Q_r)."""
-    df_r, df_v, df_t = np.broadcast_arrays(
-        np.asarray(df_r, dtype=float),
-        np.asarray(df_v, dtype=float),
-        np.asarray(df_t, dtype=float),
-    )
+    df_r, df_v, df_t = _offsets(df_r, df_v, df_t)
     val = (
         (cfg.K / (cfg.M * cfg.P))
         * np.abs(dirichlet(cfg.M, df_r))
@@ -114,43 +113,19 @@ def mc_mean_af(
     chunk: int | None = None,
 ) -> np.ndarray:
     """Complex mean of chi over ``n_cpi`` independent uniform selection draws."""
-    df_r, df_v, df_t = np.broadcast_arrays(
-        np.asarray(df_r, dtype=float),
-        np.asarray(df_v, dtype=float),
-        np.asarray(df_t, dtype=float),
-    )
-    shape = df_r.shape
-    pts_r, pts_v, pts_t = df_r.reshape(-1), df_v.reshape(-1), df_t.reshape(-1)
-    npts = pts_r.size
+    df_r, df_v, df_t = _offsets(df_r, df_v, df_t)
     if chunk is None:
-        # keep the (chunk, N, K, npts) phase tensor near 256 MB at most
-        chunk = max(1, (1 << 24) // max(1, cfg.N * cfg.K * npts))
-    n = np.arange(cfg.N)
-    qr_factor = np.exp(-2j * np.pi * np.arange(cfg.Q_r)[:, None] * pts_t[None, :]).sum(axis=0)
-    n_phase = n[:, None] * pts_v[None, :]                   # (N, npts)
-
-    acc = np.zeros(npts, dtype=np.complex128)
+        # the chunk sets how the draws split into rng calls, so the rule is
+        # part of the seeded sample; it bounds only the (chunk, N, M) and
+        # (chunk, N, P) random keys and their argsorts
+        chunk = max(1, (1 << 24) // max(1, cfg.N * cfg.K * df_r.size))
+    counts = np.zeros(cfg.N * cfg.M * cfg.P, dtype=np.int64)
     done = 0
     while done < n_cpi:
         c = min(chunk, n_cpi - done)
         # uniform K-subsets via random-key sort
         m_sel = np.argsort(rng.random((c, cfg.N, cfg.M)), axis=-1)[..., : cfg.K]
         p_sel = np.argsort(rng.random((c, cfg.N, cfg.P)), axis=-1)[..., : cfg.K]
-        phase = (
-            m_sel[..., None] * pts_r
-            + (cfg.Q_r * p_sel[..., None]) * pts_t
-            + n_phase[None, :, None, :]
-        )
-        acc += np.exp(-2j * np.pi * phase).sum(axis=(1, 2)).sum(axis=0)
+        counts += _pair_counts(cfg, m_sel, p_sel)
         done += c
-    mean_chi = (acc / n_cpi) * qr_factor
-    return mean_chi.reshape(shape)
-
-
-def resolutions(cfg: SystemConfig) -> Resolutions:
-    """First-null widths of the expected ambiguity function, physical units."""
-    return Resolutions(
-        range_m=cfg.range_resolution,
-        velocity_mps=cfg.velocity_resolution,
-        angle_rad=cfg.angle_resolution,
-    )
+    return _chi_from_counts(cfg, counts, df_r, df_v, df_t) / n_cpi

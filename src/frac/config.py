@@ -83,7 +83,7 @@ class SystemConfig:
     def validate(self) -> None:
         for name in ("N", "M", "K", "P", "Q_r", "Q_c", "J", "n_taps"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.K > min(self.M, self.P):
             raise ConfigError(

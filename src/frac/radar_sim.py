@@ -23,6 +23,7 @@ inject sigma_r**2 at the fast-time samples instead.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -313,8 +314,17 @@ def load_cube(path) -> FastTimeCube | CrrpCube:
             raise ValueError(f"{path} is not a cube file")
         (hlen,) = struct.unpack("<Q", fh.read(8))
         header = json.loads(fh.read(hlen))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        raw = fh.read()
+    cls = {"fast_time": FastTimeCube, "crrp": CrrpCube}.get(header.get("kind"))
+    if cls is None:
+        raise ValueError(f"{path}: unknown cube kind {header.get('kind')!r}")
     dims = tuple(header["dims"])
+    expected = 16 * math.prod(dims)
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: payload holds {len(raw)} bytes, expected {expected} bytes for dims {dims}"
+        )
+    payload = np.frombuffer(raw, dtype="<f8")
     data = (payload[0::2] + 1j * payload[1::2]).reshape(dims)
     cfg = SystemConfig.from_dict(header["config"])
     if cfg.config_hash() != header["config_hash"]:
@@ -327,5 +337,4 @@ def load_cube(path) -> FastTimeCube | CrrpCube:
         )
         for s in header["selections"]
     )
-    cls = FastTimeCube if header["kind"] == "fast_time" else CrrpCube
     return cls(data=data, selections=selections, cfg=cfg, sigma_r=header["sigma_r"])

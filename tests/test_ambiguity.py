@@ -1,17 +1,16 @@
 """Ambiguity kernels: peaks, nulls, the closed-form mean, MC convergence."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frac.ambiguity import (
-    dirichlet,
-    expected_af,
-    instantaneous_af,
-    mc_mean_af,
-    resolutions,
-)
+from frac.ambiguity import dirichlet, expected_af, instantaneous_af, mc_mean_af
 from frac.config import reference_config
-from frac.im_codec import random_selection_sequence
+from frac.im_codec import random_selection_sequence, selection_arrays
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +151,109 @@ def test_mean_of_instantaneous_matches_expected(cfg):
 
 
 def test_resolutions_reference(cfg):
-    res = resolutions(cfg)
-    assert res.range_m == pytest.approx(1.5)
-    assert res.velocity_mps == pytest.approx(cfg.wavelength / (2 * cfg.N * cfg.T_0))
-    assert res.angle_deg == pytest.approx(14.4775, abs=1e-3)
+    assert cfg.range_resolution == pytest.approx(1.5)
+    assert cfg.velocity_resolution == pytest.approx(cfg.wavelength / (2 * cfg.N * cfg.T_0))
+    assert math.degrees(cfg.angle_resolution) == pytest.approx(14.4775, abs=1e-3)
+
+
+def _dense_mc_mean_af(cfg, df_r, df_v, df_t, n_cpi, rng, chunk=None):
+    """Reference: one exp per CPI, pulse, slot and point over a (chunk, N, K,
+    points) phase tensor, drawing the selections as mc_mean_af does."""
+    df_r, df_v, df_t = np.broadcast_arrays(
+        np.asarray(df_r, dtype=float), np.asarray(df_v, dtype=float), np.asarray(df_t, dtype=float)
+    )
+    shape = df_r.shape
+    pts_r, pts_v, pts_t = df_r.reshape(-1), df_v.reshape(-1), df_t.reshape(-1)
+    npts = pts_r.size
+    if chunk is None:
+        chunk = max(1, (1 << 24) // max(1, cfg.N * cfg.K * npts))
+    qr_factor = np.exp(-2j * np.pi * np.arange(cfg.Q_r)[:, None] * pts_t[None, :]).sum(axis=0)
+    n_phase = np.arange(cfg.N)[:, None] * pts_v[None, :]
+    acc = np.zeros(npts, dtype=np.complex128)
+    done = 0
+    while done < n_cpi:
+        c = min(chunk, n_cpi - done)
+        m_sel = np.argsort(rng.random((c, cfg.N, cfg.M)), axis=-1)[..., : cfg.K]
+        p_sel = np.argsort(rng.random((c, cfg.N, cfg.P)), axis=-1)[..., : cfg.K]
+        phase = (
+            m_sel[..., None] * pts_r
+            + (cfg.Q_r * p_sel[..., None]) * pts_t
+            + n_phase[None, :, None, :]
+        )
+        acc += np.exp(-2j * np.pi * phase).sum(axis=(1, 2)).sum(axis=0)
+        done += c
+    return ((acc / n_cpi) * qr_factor).reshape(shape)
+
+
+def _loop_instantaneous_af(cfg, selections, df_r, df_v, df_t):
+    """Reference: the defining sum over pulses n, slots k and receivers q_r."""
+    m_idx, p_idx, _ = selection_arrays(selections)
+    chi = 0.0
+    for n in range(cfg.N):
+        for k in range(cfg.K):
+            for q in range(cfg.Q_r):
+                chi = chi + np.exp(-2j * np.pi * (
+                    m_idx[n, k] * df_r + n * df_v + (cfg.Q_r * p_idx[n, k] + q) * df_t
+                ))
+    return chi
+
+
+_SMALL_CONFIGS = st.fixed_dictionaries({
+    "N": st.sampled_from([2, 4, 8]),
+    "M": st.sampled_from([2, 3, 4]),
+    "K": st.integers(1, 2),
+    "P": st.sampled_from([2, 4]),
+    "Q_r": st.integers(1, 2),
+})
+
+
+@st.composite
+def _offset_grids(draw):
+    """A cut along one axis or a plane over two, with the others at zero."""
+    points = draw(st.integers(1, 9))
+    extent = draw(st.floats(0.1, 2.0))
+    offs = np.linspace(-extent / 2.0, extent / 2.0, points)
+    axes = draw(st.sampled_from([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]))
+    grid = [np.zeros(1)] * 3
+    if len(axes) == 1:
+        grid[axes[0]] = offs
+    else:
+        grid[axes[0]] = offs[:, None]
+        grid[axes[1]] = offs[None, :] + draw(st.floats(-0.5, 0.5))
+    return grid
+
+
+@given(_SMALL_CONFIGS, _offset_grids(), st.integers(1, 40),
+       st.sampled_from([None, 1, 3, 7, 64]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_mc_matches_dense_reference(params, grid, n_cpi, chunk, seed):
+    cfg = reference_config(**params)
+    got = mc_mean_af(cfg, *grid, n_cpi=n_cpi, rng=np.random.default_rng(seed), chunk=chunk)
+    want = _dense_mc_mean_af(cfg, *grid, n_cpi=n_cpi, rng=np.random.default_rng(seed),
+                             chunk=chunk)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * cfg.N * cfg.K * cfg.Q_r)
+
+
+@given(_SMALL_CONFIGS, _offset_grids(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_instantaneous_matches_loop_reference(params, grid, seed):
+    cfg = reference_config(**params)
+    sels = random_selection_sequence(cfg, np.random.default_rng(seed))
+    got = instantaneous_af(cfg, sels, *grid)
+    want = np.broadcast_to(_loop_instantaneous_af(cfg, sels, *grid), got.shape)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * cfg.N * cfg.K * cfg.Q_r)
+
+
+def test_mc_peak_memory_at_criterion_03_size(cfg):
+    # criterion 03's cut: 64 points and 10^4 CPIs; a phase tensor over
+    # CPIs, pulses and points would take hundreds of MiB
+    pts = np.linspace(-0.5, 0.5, 64)
+    zeros = np.zeros_like(pts)
+    tracemalloc.start()
+    try:
+        mc_mean_af(cfg, pts, zeros, zeros, n_cpi=10_000, rng=np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -95,6 +95,13 @@ def test_validation_rejects(overrides):
         reference_config(**overrides)
 
 
+@pytest.mark.parametrize("name", ["N", "M", "K", "P", "Q_r", "Q_c", "J", "n_taps"])
+def test_validation_rejects_bool_counts(name):
+    # bool is a subclass of int, so True would otherwise pass as 1
+    with pytest.raises(ConfigError, match=f"{name} must be a positive integer"):
+        reference_config(**{name: True})
+
+
 def test_from_dict_rejects_unknown_fields():
     d = reference_config().to_dict()
     d["bandwidth"] = 1.0

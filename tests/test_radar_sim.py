@@ -185,6 +185,28 @@ def test_cube_save_load_round_trip(cfg, selections, tmp_path):
     np.testing.assert_array_equal(back2.data, crrp.data)
 
 
+def test_cube_load_rejects_truncated_payload(cfg, selections, tmp_path):
+    scene, _ = _grid_scene(cfg)
+    cube = simulate_fast_time(scene, selections, cfg, sigma_r=0.0)
+    path = tmp_path / "cube.frc"
+    save_cube(path, cube)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ValueError, match=f"cube.frc.*{16 * cube.data.size} bytes"):
+        load_cube(path)
+
+
+def test_cube_load_rejects_unknown_kind(cfg, selections, tmp_path):
+    scene, _ = _grid_scene(cfg)
+    cube = simulate_fast_time(scene, selections, cfg, sigma_r=0.0)
+    path = tmp_path / "cube.frc"
+    save_cube(path, cube)
+    raw = path.read_bytes()
+    assert raw.count(b'"kind": "fast_time"') == 1
+    path.write_bytes(raw.replace(b'"kind": "fast_time"', b'"kind": "slow_time"'))
+    with pytest.raises(ValueError, match="slow_time"):
+        load_cube(path)
+
+
 def test_cube_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.frc"
     path.write_bytes(b"not a cube at all")
