@@ -8,7 +8,7 @@ and phase-transition analysis, and the downlink communication receivers.
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, SystemConfig, derive, reference_config
+from .config import ConfigError, SystemConfig, reference_config
 from .im_codec import MappingTable, PulseSelection, decode, encode, random_selection_sequence
 from .radar_sim import (
     Target,
@@ -40,7 +40,6 @@ __all__ = [
     "__version__",
     "ConfigError",
     "SystemConfig",
-    "derive",
     "reference_config",
     "MappingTable",
     "PulseSelection",

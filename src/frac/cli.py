@@ -42,7 +42,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     _add_config_flags(parser)
 
 
@@ -149,31 +148,27 @@ def _cmd_phase_transition(args) -> int:
         _write_csv(args, cfg, ["variant", "n1", "n2", "l_star", "beta_star",
                                "l_star_approx"], rows)
         return 0
-    if args.mode in ("empirical", "both"):
-        all_rows = []
-        summary = {}
-        for name, vcfg in variants:
-            n1 = vcfg.N * vcfg.K * vcfg.Q_r
-            n2 = vcfg.N * vcfg.M * vcfg.P * vcfg.Q_r
-            theory = harness.phase_transition.solve_threshold(n1, n2)
-            if args.l_values:
-                l_values = [int(x) for x in parse_range(args.l_values)]
-            else:
-                hi = max(3, int(math.ceil(theory.l_star * 2.0)))
-                l_values = list(range(1, hi + 1))
-            rows, crossing = harness.run_phase_transition_empirical(
-                vcfg, l_values, args.trials, seed=vcfg.seed, workers=args.workers
-            )
-            for r in rows:
-                r["variant"] = name
-                all_rows.append(r)
-            summary[name] = {"theory_l_star": theory.l_star, "empirical_crossing": crossing}
-        _write_csv(
-            args, cfg, ["variant", "l_sparse", "trials", "successes", "success_rate"],
-            all_rows,
-            comments=[f"crossing(0.6): {json.dumps(summary, sort_keys=True)}"],
+    all_rows = []
+    summary = {}
+    for name, vcfg in variants:
+        theory = harness.phase_transition.solve_threshold(vcfg.n1, vcfg.n2)
+        if args.l_values:
+            l_values = [int(x) for x in parse_range(args.l_values)]
+        else:
+            hi = max(3, int(math.ceil(theory.l_star * 2.0)))
+            l_values = list(range(1, hi + 1))
+        rows, crossing = harness.run_phase_transition_empirical(
+            vcfg, l_values, args.trials, seed=vcfg.seed, workers=args.workers
         )
-        return 0
+        for r in rows:
+            r["variant"] = name
+            all_rows.append(r)
+        summary[name] = {"theory_l_star": theory.l_star, "empirical_crossing": crossing}
+    _write_csv(
+        args, cfg, ["variant", "l_sparse", "trials", "successes", "success_rate"],
+        all_rows,
+        comments=[f"crossing(0.6): {json.dumps(summary, sort_keys=True)}"],
+    )
     return 0
 
 
@@ -299,12 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ambiguity)
 
     p = sub.add_parser("phase-transition", help="basis-pursuit sparsity limits")
-    p.add_argument("--mode", choices=("theory", "empirical", "both"), default="theory")
+    p.add_argument("--mode", choices=("theory", "empirical"), default="theory")
     p.add_argument("--variants", default="base,K=2,M=4,M=16,P=2,P=8,N=16,N=24",
                    help="comma list of 'base' or FIELD=VALUE configs")
     p.add_argument("--l-values", default=None,
                    help="sparsity grid (range syntax); default 1..2*l_star")
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_phase_transition)
 
@@ -315,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-targets", type=int, default=3,
                    help="targets per random scene")
     p.add_argument("--solver", choices=("omp", "bp"), default="omp")
+    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_hit_rate)
 

@@ -10,7 +10,7 @@ where column m*P + p of Psi stacks, over the Q_c receive antennas, the
 chirped sub-band waveform s_m convolved with that antenna's multipath
 response from element p.  Taps are i.i.d. CN(0, e^{-i}).
 
-Monte Carlo decoding statistics are computed in the Gram domain: with
+Decisions and Monte Carlo statistics are computed in the Gram domain: with
 Gamma = Psi^H Psi, the matched-filter bank output is u = Gamma e + omega
 with omega ~ CN(0, sigma^2 Gamma), and every ML/subspace decision and the
 mutual-information estimator depend on y only through u and symbol energies.
@@ -194,9 +194,7 @@ def transmit(
 
 def ml_decode(y: np.ndarray, psi: np.ndarray, symbols: SymbolSet) -> int:
     """Exhaustive minimum-distance decision; ties break to the lowest index."""
-    T = psi @ symbols.E
-    scores = np.sum(np.abs(T) ** 2, axis=0) - 2.0 * np.real(T.conj().T @ y)
-    return int(np.argmin(scores))
+    return _decode_one(y, psi, None, symbols, "ml")
 
 
 def sod_decode(y: np.ndarray, psi: np.ndarray, cfg: SystemConfig, symbols: SymbolSet) -> int:
@@ -207,17 +205,17 @@ def sod_decode(y: np.ndarray, psi: np.ndarray, cfg: SystemConfig, symbols: Symbo
     ML metric over the symbols using exactly that carrier set.  If the
     detected set is not encodable the search falls back to the full alphabet.
     """
-    u = psi.conj().T @ y                                    # (M*P,)
-    colnorm = np.sqrt(np.real(np.sum(np.abs(psi) ** 2, axis=0)))
-    gv = (np.abs(u) / np.maximum(colnorm, 1e-300)).reshape(cfg.M, cfg.P)
-    best = gv.max(axis=1)
-    det = tuple(sorted(int(i) for i in np.argsort(-best, kind="stable")[: cfg.K]))
-    cand = [i for i, cs in enumerate(symbols.carrier_sets) if cs == det]
-    if not cand:
-        cand = list(range(symbols.n_words))
-    T = psi @ symbols.E[:, cand]
-    scores = np.sum(np.abs(T) ** 2, axis=0) - 2.0 * np.real(T.conj().T @ y)
-    return int(cand[int(np.argmin(scores))])
+    return _decode_one(y, psi, cfg, symbols, "sod")
+
+
+def _decode_one(y, psi, cfg, symbols: SymbolSet, decoder: str) -> int:
+    """One received pulse through the Gram-domain decisions, as a batch of one."""
+    psi_h = psi.conj().T
+    gamma = psi_h @ psi
+    _, q = _symbol_gram(gamma, symbols)
+    colnorm = np.sqrt(np.real(np.diag(gamma)))
+    u = (psi_h @ y)[:, None]
+    return int(_decide(cfg, symbols, q, colnorm, u, (decoder,), _sod_groups(symbols))[decoder][0])
 
 
 # ----------------------------------------------------------------------
@@ -234,60 +232,67 @@ def _gram_factors(psi: np.ndarray):
     return gamma, chol, colnorm
 
 
-def _sod_groups(cfg: SystemConfig, symbols: SymbolSet) -> dict:
+def _symbol_gram(gamma: np.ndarray, symbols: SymbolSet):
+    """(Gamma E, symbol energies e^H Gamma e = ||Psi e||^2) over the alphabet."""
+    GE = gamma @ symbols.E
+    return GE, np.real(np.einsum("ij,ij->j", symbols.E.conj(), GE))
+
+
+def _draw_channel(cfg: SystemConfig, symbols: SymbolSet, draws: int, rng: np.random.Generator):
+    """One channel and its draws: (Gamma E, energies, column norms, t_idx, noise).
+
+    ``noise`` column d is chol @ z_d for a standard complex normal z_d, which
+    matches Psi^H w / sigma in distribution.
+    """
+    psi = build_psi(sample_channel(cfg, rng), cfg)
+    gamma, chol, colnorm = _gram_factors(psi)
+    t_idx = rng.integers(0, symbols.n_words, draws)
+    noise_unit = (
+        rng.standard_normal((gamma.shape[0], draws))
+        + 1j * rng.standard_normal((gamma.shape[0], draws))
+    ) / math.sqrt(2.0)
+    GE, q = _symbol_gram(gamma, symbols)
+    return GE, q, colnorm, t_idx, chol @ noise_unit
+
+
+def _sod_groups(symbols: SymbolSet) -> dict:
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, cs in enumerate(symbols.carrier_sets):
         groups.setdefault(cs, []).append(i)
     return groups
 
 
-def _decide_batch(
-    cfg: SystemConfig,
+def _decide(
+    cfg: SystemConfig | None,
     symbols: SymbolSet,
-    gamma: np.ndarray,
-    chol: np.ndarray,
+    q: np.ndarray,
     colnorm: np.ndarray,
-    t_idx: np.ndarray,
-    noise_unit: np.ndarray,
-    sigma: float,
+    u: np.ndarray,
     decoders: tuple[str, ...],
     groups: dict,
 ) -> dict[str, np.ndarray]:
-    """Vectorized decisions for one channel and one noise scale.
+    """ML and SOD decisions from matched-filter outputs, one column of u per draw.
 
-    ``noise_unit`` is an (M*P, draws) standard complex normal batch; the
-    matched-filter vector for draw d is Gamma e_{t_d} + sigma * chol @ z_d,
-    which matches Psi^H (Psi e + w) in distribution.
+    Column d of ``u`` is Psi^H y_d; the ML metric of symbol e is
+    e^H Gamma e - 2 Re e^H u, which is ||y - Psi e||^2 less a term common to
+    all symbols.  SOD keeps the full-search decision for draws whose detected
+    carrier set is outside the alphabet.  ``cfg`` is only read for SOD.
     """
-    GE = gamma @ symbols.E
-    q = np.real(np.einsum("ij,ij->j", symbols.E.conj(), GE))
-    u_mat = GE[:, t_idx] + sigma * (chol @ noise_unit)
-    scores = q[:, None] - 2.0 * np.real(symbols.E.conj().T @ u_mat)
+    scores = q[:, None] - 2.0 * np.real(symbols.E.conj().T @ u)
+    full = np.argmin(scores, axis=0)
     out: dict[str, np.ndarray] = {}
     if "ml" in decoders:
-        out["ml"] = np.argmin(scores, axis=0)
+        out["ml"] = full
     if "sod" in decoders:
-        draws = t_idx.size
-        gv = (np.abs(u_mat) / np.maximum(colnorm, 1e-300)[:, None]).reshape(
-            cfg.M, cfg.P, draws
-        )
+        gv = (np.abs(u) / np.maximum(colnorm, 1e-300)[:, None]).reshape(cfg.M, cfg.P, -1)
         best = gv.max(axis=1)                               # (M, draws)
-        order = np.argsort(-best, axis=0, kind="stable")[: cfg.K]
-        decisions = np.empty(draws, dtype=np.int64)
-        keys = np.sort(order, axis=0)
+        keys = np.sort(np.argsort(-best, axis=0, kind="stable")[: cfg.K], axis=0)
+        decisions = full.copy()
         for key, cand in groups.items():
-            mask = np.all(keys == np.asarray(key)[:, None], axis=0)
-            if not np.any(mask):
-                continue
-            sub = scores[np.ix_(cand, np.flatnonzero(mask))]
-            decisions[mask] = np.asarray(cand)[np.argmin(sub, axis=0)]
-        # carrier sets outside the alphabet fall back to the full search
-        matched = np.zeros(draws, dtype=bool)
-        for key in groups:
-            matched |= np.all(keys == np.asarray(key)[:, None], axis=0)
-        if not np.all(matched):
-            rest = np.flatnonzero(~matched)
-            decisions[rest] = np.argmin(scores[:, rest], axis=0)
+            cols = np.flatnonzero(np.all(keys == np.asarray(key)[:, None], axis=0))
+            if cols.size:
+                sub = scores[np.ix_(cand, cols)]
+                decisions[cols] = np.asarray(cand)[np.argmin(sub, axis=0)]
         out["sod"] = decisions
     return out
 
@@ -308,26 +313,18 @@ def ber_curve(
     is monotone up to channel-sampling error.
     """
     symbols = enumerate_symbols(cfg, mapping)
-    groups = _sod_groups(cfg, symbols)
+    groups = _sod_groups(symbols)
     snr_db_list = [float(s) for s in snr_db_list]
     errs = {d: np.zeros(len(snr_db_list), dtype=np.int64) for d in decoders}
     per_channel = {d: np.zeros((channels, len(snr_db_list))) for d in decoders}
     nbits = symbols.n_bits
     for ch in range(channels):
-        rng = np.random.default_rng([seed, 7001, ch])
-        psi = build_psi(sample_channel(cfg, rng), cfg)
-        gamma, chol, colnorm = _gram_factors(psi)
-        t_idx = rng.integers(0, symbols.n_words, draws)
-        noise_unit = (
-            rng.standard_normal((gamma.shape[0], draws))
-            + 1j * rng.standard_normal((gamma.shape[0], draws))
-        ) / math.sqrt(2.0)
+        GE, q, colnorm, t_idx, noise = _draw_channel(
+            cfg, symbols, draws, np.random.default_rng([seed, 7001, ch])
+        )
         for si, snr in enumerate(snr_db_list):
-            sigma = sigma_for_comm_snr(cfg, snr)
-            dec = _decide_batch(
-                cfg, symbols, gamma, chol, colnorm, t_idx, noise_unit, sigma,
-                decoders, groups,
-            )
+            u = GE[:, t_idx] + sigma_for_comm_snr(cfg, snr) * noise
+            dec = _decide(cfg, symbols, q, colnorm, u, decoders, groups)
             for name, d_idx in dec.items():
                 nerr = int(np.sum(symbols.bits[t_idx] != symbols.bits[d_idx]))
                 errs[name][si] += nerr
@@ -372,19 +369,12 @@ def rate_curve(
     nE = symbols.n_words
     per_channel = np.zeros((channels, len(snr_db_list)))
     for ch in range(channels):
-        rng = np.random.default_rng([seed, 7101, ch])
-        psi = build_psi(sample_channel(cfg, rng), cfg)
-        gamma, chol, _ = _gram_factors(psi)
-        GE = gamma @ symbols.E
-        q = np.real(np.einsum("ij,ij->j", symbols.E.conj(), GE))
+        GE, q, _, t_idx, noise = _draw_channel(
+            cfg, symbols, draws, np.random.default_rng([seed, 7101, ch])
+        )
         S = symbols.E.conj().T @ GE                         # (nE, nE)
         d2 = q[:, None] + q[None, :] - 2.0 * np.real(S)     # pairwise ||Psi(ei-ej)||^2
-        t_idx = rng.integers(0, nE, draws)
-        noise_unit = (
-            rng.standard_normal((gamma.shape[0], draws))
-            + 1j * rng.standard_normal((gamma.shape[0], draws))
-        ) / math.sqrt(2.0)
-        proj = symbols.E.conj().T @ (chol @ noise_unit)     # (nE, draws), unit sigma
+        proj = symbols.E.conj().T @ noise                   # (nE, draws), unit sigma
         for si, snr in enumerate(snr_db_list):
             sigma = sigma_for_comm_snr(cfg, snr)
             rv = np.real(proj) * sigma

@@ -40,7 +40,7 @@ def _floor_int(x: float) -> int:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full parameter set; construct directly or via :func:`derive`.
+    """Full parameter set; construct directly or via :meth:`from_dict`.
 
     Counts
     ------
@@ -185,6 +185,16 @@ class SystemConfig:
         """Virtual array size P * Q_r (angle grid size)."""
         return self.P * self.Q_r
 
+    @property
+    def n1(self) -> int:
+        """Measurements per coarse-cell snapshot, N * K * Q_r."""
+        return self.N * self.K * self.Q_r
+
+    @property
+    def n2(self) -> int:
+        """Recovery grid columns per coarse cell, N * M * P * Q_r."""
+        return self.N * self.M * self.Q
+
     # ------------------------------------------------------------------
     # information bits
     # ------------------------------------------------------------------
@@ -266,11 +276,6 @@ class SystemConfig:
     def config_hash(self) -> str:
         """Short stable digest of the raw fields, for output provenance headers."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
-
-
-def derive(raw_params: dict) -> SystemConfig:
-    """Build a validated :class:`SystemConfig` from a plain dict of raw fields."""
-    return SystemConfig.from_dict(raw_params)
 
 
 def reference_config(**overrides) -> SystemConfig:

@@ -8,6 +8,7 @@ experiments, so results do not depend on worker count or chunking.
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -150,8 +151,7 @@ def _random_grid_scene(
     Cell 1 keeps every fine-range offset at a positive absolute range for
     any configuration.
     """
-    n_cols = cfg.N * cfg.M * cfg.Q
-    flats = rng.choice(n_cols, size=n_targets, replace=False)
+    flats = rng.choice(cfg.n2, size=n_targets, replace=False)
     out = []
     for flat in flats:
         r, v, theta = grid_to_physical(int(flat), cell, cfg)
@@ -233,17 +233,11 @@ def run_hit_rate(
     if solver not in ("omp", "bp"):
         raise ValueError(f"solver must be 'omp' or 'bp', got {solver!r}")
     snr_db_list = [float(s) for s in snr_db_list]
-    chunks = _chunk_args(trials, workers)
     jobs = [
         (cfg.to_dict(), snr_db_list, lo, hi, seed, scene_mode, n_targets, solver)
-        for lo, hi in chunks
+        for lo, hi in _chunk_args(trials, workers)
     ]
-    if len(jobs) == 1:
-        parts = [_hit_rate_chunk(jobs[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_hit_rate_chunk, jobs))
-    hits = np.sum(parts, axis=0)
+    hits = np.sum(_map_trials(_hit_rate_chunk, jobs, workers), axis=0)
     out = []
     for si, snr in enumerate(snr_db_list):
         lo, hi = _wilson(int(hits[si]), trials)
@@ -268,6 +262,19 @@ def _chunk_args(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
 
+def _map_trials(fn, jobs: list, workers: int) -> list:
+    """``fn`` over every job: inline for one worker, else in one process pool.
+
+    Workers are spawned, not forked, since the BLAS library may already run
+    threads in this process.
+    """
+    if workers <= 1 or len(jobs) == 1:
+        return [fn(job) for job in jobs]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def run_recovery_map(
     cfg: SystemConfig,
     scene: list[Target],
@@ -278,6 +285,8 @@ def run_recovery_map(
     dump_cube_path=None,
 ):
     """Recover a scene once; returns (true_rows, recovered_rows) in physical units."""
+    if solver not in ("omp", "bp"):
+        raise ValueError(f"solver must be 'omp' or 'bp', got {solver!r}")
     rng = np.random.default_rng([seed, _TAG_MAP])
     selections = random_selection_sequence(cfg, rng)
     sigma = 0.0 if snr_db is None else sigma_for_snr(cfg, snr_db)
@@ -305,10 +314,8 @@ def run_recovery_map(
         y = snapshots[g].flatten()
         if solver == "omp":
             sol = omp_recover(y, dic, n_targets=len(cells[g]))
-        elif solver == "bp":
-            sol = bp_recover(y, dic, eps=default_bp_eps(cfg, sigma))
         else:
-            raise ValueError(f"solver must be 'omp' or 'bp', got {solver!r}")
+            sol = bp_recover(y, dic, eps=default_bp_eps(cfg, sigma))
         recovered.extend(recovered_targets(sol, g, dic))
 
     true_rows = [
@@ -396,15 +403,13 @@ def run_phase_transition_theory(
 ) -> list[dict]:
     rows = []
     for name, vcfg in variants:
-        n1 = vcfg.N * vcfg.K * vcfg.Q_r
-        n2 = vcfg.N * vcfg.M * vcfg.P * vcfg.Q_r
-        sol = phase_transition.solve_threshold(n1, n2)
-        apx = phase_transition.approx_threshold(n1, n2)
+        sol = phase_transition.solve_threshold(vcfg.n1, vcfg.n2)
+        apx = phase_transition.approx_threshold(vcfg.n1, vcfg.n2)
         rows.append(
             {
                 "variant": name,
-                "n1": n1,
-                "n2": n2,
+                "n1": vcfg.n1,
+                "n2": vcfg.n2,
                 "l_star": sol.l_star,
                 "beta_star": sol.beta_star,
                 "l_star_approx": apx.l_star,
@@ -418,8 +423,8 @@ def _pt_chunk(args) -> int:
     cfg = SystemConfig.from_dict(cfg_dict)
     ok = 0
     for trial in range(trial_lo, trial_hi):
-        rng = np.random.default_rng([seed, int(l_sparse), trial])
-        ok += phase_transition.recovery_trial(cfg, int(l_sparse), rng)
+        rng = np.random.default_rng([seed, l_sparse, trial])
+        ok += phase_transition.recovery_trial(cfg, l_sparse, rng)
     return ok
 
 
@@ -429,35 +434,28 @@ def run_phase_transition_empirical(
     trials: int,
     seed: int = 0,
     workers: int = 1,
-) -> tuple[list[dict], float]:
-    """Empirical success curve and its 0.6 crossing (matches the per-trial
-    seeding of :func:`frac.phase_transition.empirical_transition`)."""
-    rows = []
-    succ = []
+) -> tuple[list[dict], float | None]:
+    """Success curve of equality basis pursuit and its 0.6 crossing.
+
+    Trial t at sparsity L draws from ``default_rng([seed, L, t])``, so the
+    curve does not depend on the worker count.  The crossing is None when the
+    curve does not cross 0.6 within ``l_values``.
+    """
     for l_sparse in l_values:
-        jobs = [
-            (cfg.to_dict(), int(l_sparse), lo, hi, seed)
-            for lo, hi in _chunk_args(trials, workers)
-        ]
-        if len(jobs) == 1:
-            parts = [_pt_chunk(jobs[0])]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_pt_chunk, jobs))
-        ok = int(sum(parts))
-        succ.append(ok / trials)
-        rows.append(
-            {
-                "l_sparse": int(l_sparse),
-                "trials": trials,
-                "successes": ok,
-                "success_rate": ok / trials,
-            }
-        )
-    curve = phase_transition.PtCurve(
-        l_values=tuple(int(l) for l in l_values), success=tuple(succ), trials=trials
-    )
-    return rows, phase_transition.crossing(curve)
+        if not 1 <= l_sparse <= cfg.n2:
+            raise ValueError(f"sparsity level {l_sparse} outside [1, n2={cfg.n2}]")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    l_values = [int(l) for l in l_values]
+    chunks = _chunk_args(trials, workers)
+    jobs = [(cfg.to_dict(), l, lo, hi, seed) for l in l_values for lo, hi in chunks]
+    parts = _map_trials(_pt_chunk, jobs, workers)
+    oks = [sum(parts[i:i + len(chunks)]) for i in range(0, len(parts), len(chunks))]
+    rows = [
+        {"l_sparse": l, "trials": trials, "successes": ok, "success_rate": ok / trials}
+        for l, ok in zip(l_values, oks)
+    ]
+    return rows, phase_transition.crossing(l_values, [r["success_rate"] for r in rows])
 
 
 def _psk_baseline(cfg: SystemConfig, order: int) -> SystemConfig:

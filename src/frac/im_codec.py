@@ -302,23 +302,14 @@ def random_selection_sequence(
     cfg: SystemConfig,
     rng: np.random.Generator,
     n_pulses: int | None = None,
-    encodable_only: bool = False,
 ) -> list[PulseSelection]:
     """Draw one selection per pulse for a CPI.
 
-    By default every K-subset, pairing and phase is equally likely, i.e. the
-    radar sees the full selection space including combinations the codec
-    cannot reach.  With ``encodable_only=True`` draws are restricted to the
-    2**n_total_bits encodable words (uniform over those), which is what a
-    live link transmitting uniform random bits produces.
+    Every K-subset, pairing and phase is equally likely, i.e. the radar sees
+    the full selection space including combinations the codec cannot reach.
     """
     n = cfg.N if n_pulses is None else int(n_pulses)
     out = []
-    if encodable_only:
-        for _ in range(n):
-            word = "".join("01"[b] for b in rng.integers(0, 2, cfg.n_total_bits))
-            out.append(encode(word, cfg))
-        return out
     for _ in range(n):
         carriers_sorted = sorted(int(m) for m in rng.choice(cfg.M, size=cfg.K, replace=False))
         antennas = tuple(sorted(int(p) for p in rng.choice(cfg.P, size=cfg.K, replace=False)))

@@ -30,15 +30,12 @@ from .radar_recovery import bp_recover, build_dictionary
 
 __all__ = [
     "PtSolution",
-    "PtCurve",
     "pt_integral",
     "pt_integral_quad",
     "measurement_count",
     "solve_threshold",
     "approx_threshold",
-    "threshold_for_config",
     "recovery_trial",
-    "empirical_transition",
     "crossing",
 ]
 
@@ -55,13 +52,6 @@ class PtSolution:
     n1: int
     n2: int
     method: str
-
-
-@dataclass(frozen=True)
-class PtCurve:
-    l_values: tuple[int, ...]
-    success: tuple[float, ...]
-    trials: int
 
 
 def pt_integral(beta: float) -> float:
@@ -170,13 +160,6 @@ def approx_threshold(n1: int, n2: int, iters: int = 200) -> PtSolution:
     )
 
 
-def threshold_for_config(cfg: SystemConfig, method: str = "exact") -> PtSolution:
-    n1 = cfg.N * cfg.K * cfg.Q_r
-    n2 = cfg.N * cfg.M * cfg.P * cfg.Q_r
-    solve = solve_threshold if method == "exact" else approx_threshold
-    return solve(n1, n2)
-
-
 def recovery_trial(cfg: SystemConfig, l_sparse: int, rng: np.random.Generator) -> bool:
     """One synthetic recovery: unit-modulus L-sparse vector on the cell grid.
 
@@ -197,39 +180,19 @@ def recovery_trial(cfg: SystemConfig, l_sparse: int, rng: np.random.Generator) -
     return bool(err <= RECOVERY_TOL)
 
 
-def empirical_transition(
-    cfg: SystemConfig,
-    l_values: list[int],
-    trials: int,
-    seed: int = 0,
-) -> PtCurve:
-    """Success probability of equality basis pursuit per sparsity level."""
-    probs = []
-    for l_sparse in l_values:
-        if not 1 <= l_sparse:
-            raise ValueError(f"sparsity levels must be >= 1, got {l_sparse}")
-        ok = 0
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, int(l_sparse), trial])
-            ok += recovery_trial(cfg, int(l_sparse), rng)
-        probs.append(ok / trials)
-    return PtCurve(l_values=tuple(int(l) for l in l_values), success=tuple(probs), trials=trials)
+def crossing(l_values, success, level: float = CROSSING_LEVEL) -> float | None:
+    """First downward crossing of a success curve through ``level``.
 
-
-def crossing(curve: PtCurve, level: float = CROSSING_LEVEL) -> float:
-    """First downward crossing of the success curve through ``level``.
-
-    Linear interpolation between the bracketing sparsity levels; returns the
-    lowest (highest) level if the curve never rises above (falls below) it.
+    Linear interpolation between the bracketing sparsity levels.  Returns
+    None when no adjacent pair of levels brackets a downward crossing: the
+    crossing then lies outside the levels tried and is censored.
     """
-    ls = np.asarray(curve.l_values, dtype=float)
-    ps = np.asarray(curve.success, dtype=float)
+    ls = np.asarray(l_values, dtype=float)
+    ps = np.asarray(success, dtype=float)
     order = np.argsort(ls)
     ls, ps = ls[order], ps[order]
-    if ps[0] < level:
-        return float(ls[0])
     for i in range(1, len(ls)):
         if ps[i] < level <= ps[i - 1]:
             frac = (ps[i - 1] - level) / (ps[i - 1] - ps[i])
             return float(ls[i - 1] + frac * (ls[i] - ls[i - 1]))
-    return float(ls[-1])
+    return None

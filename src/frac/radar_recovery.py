@@ -2,7 +2,7 @@
 
 The snapshot of coarse cell g is modeled as y = A b + w where b is sparse on
 the (velocity, fine-range, angle) grid of size N x M x (P*Q_r).  Columns use
-centered frequency grids by default, f(idx) = idx/size - 1/2, so grid index
+centered frequency grids, f(idx) = idx/size - 1/2, so grid index
 (N/2, M/2, Q/2) is the zero-offset (all-ones) steering column and recovered
 fine ranges/velocities/angles are signed offsets around the cell center.
 
@@ -55,7 +55,6 @@ class Dictionary:
     cfg: SystemConfig
     selections: tuple[PulseSelection, ...]
     exact_xi: bool
-    centered: bool
 
     @property
     def grid_shape(self) -> tuple[int, int, int]:
@@ -108,7 +107,6 @@ def build_dictionary(
     selections: list[PulseSelection],
     cfg: SystemConfig,
     exact_xi: bool = True,
-    centered: bool = True,
 ) -> Dictionary:
     """Dense steering dictionary for the selections of one CPI.
 
@@ -117,8 +115,7 @@ def build_dictionary(
     """
     if len(selections) != cfg.N:
         raise ValueError(f"need {cfg.N} selections, got {len(selections)}")
-    n_rows = cfg.N * cfg.K * cfg.Q_r
-    n_cols = cfg.N * cfg.M * cfg.Q
+    n_rows, n_cols = cfg.n1, cfg.n2
     if n_rows * n_cols > MAX_DICTIONARY_ELEMENTS:
         raise ValueError(
             f"dictionary of {n_rows} x {n_cols} exceeds the "
@@ -136,10 +133,9 @@ def build_dictionary(
     n_row = np.repeat(np.arange(cfg.N), cfg.K * cfg.Q_r).astype(float)
     virt_row = (cfg.Q_r * p_idx[:, :, None] + qr[None, None, :]).reshape(-1).astype(float)
 
-    half = 0.5 if centered else 0.0
-    f_v = np.arange(cfg.N) / cfg.N - half
-    f_r = np.arange(cfg.M) / cfg.M - half
-    f_t = np.arange(cfg.Q) / cfg.Q - half
+    f_v = np.arange(cfg.N) / cfg.N - 0.5
+    f_r = np.arange(cfg.M) / cfg.M - 0.5
+    f_t = np.arange(cfg.Q) / cfg.Q - 0.5
 
     phase = (
         m_row[:, None, None, None] * f_r[None, None, :, None]
@@ -147,9 +143,7 @@ def build_dictionary(
         + (xi_row * virt_row)[:, None, None, None] * f_t[None, None, None, :]
     )
     A = np.exp(-2j * np.pi * phase).reshape(n_rows, n_cols)
-    return Dictionary(
-        A=A, cfg=cfg, selections=tuple(selections), exact_xi=exact_xi, centered=centered
-    )
+    return Dictionary(A=A, cfg=cfg, selections=tuple(selections), exact_xi=exact_xi)
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +202,7 @@ def omp_recover(
 
 def default_bp_eps(cfg: SystemConfig, sigma_r: float) -> float:
     """Noise-ball radius: mean noise norm plus about two standard deviations."""
-    n = cfg.N * cfg.K * cfg.Q_r
-    return float(sigma_r * (math.sqrt(n) + 2.0))
+    return float(sigma_r * (math.sqrt(cfg.n1) + 2.0))
 
 
 def bp_recover(
@@ -329,19 +322,16 @@ def bp_recover(
 # grid <-> physical conversions
 # ----------------------------------------------------------------------
 
-def grid_to_physical(
-    flat_index: int, g: int, cfg: SystemConfig, centered: bool = True
-) -> tuple[float, float, float]:
+def grid_to_physical(flat_index: int, g: int, cfg: SystemConfig) -> tuple[float, float, float]:
     """(r, v, theta) of a grid column in coarse cell g."""
     N, M, Q = cfg.N, cfg.M, cfg.Q
     n_tilde, rem = divmod(int(flat_index), M * Q)
     m, q = divmod(rem, Q)
     if not 0 <= n_tilde < N:
         raise ValueError(f"flat index {flat_index} out of range({N * M * Q})")
-    half = 0.5 if centered else 0.0
-    f_v = n_tilde / N - half
-    f_r = m / M - half
-    f_t = q / Q - half
+    f_v = n_tilde / N - 0.5
+    f_r = m / M - 0.5
+    f_t = q / Q - 0.5
     r = cell_center(g, cfg) + f_r * cfg.coarse_cell_width
     v = f_v * cfg.wavelength / (2.0 * cfg.T_0)
     sin_t = f_t * cfg.wavelength / cfg.d_r
@@ -351,7 +341,7 @@ def grid_to_physical(
 
 
 def physical_to_grid(
-    r: float, v: float, theta: float, cfg: SystemConfig, centered: bool = True
+    r: float, v: float, theta: float, cfg: SystemConfig
 ) -> tuple[int, int, int, int]:
     """(g, n_tilde, m, q) of the grid point nearest to a physical triple.
 
@@ -359,8 +349,6 @@ def physical_to_grid(
     unambiguous spans, range rounds on the global fine grid so boundary
     offsets resolve to the adjacent coarse cell.
     """
-    if not centered:
-        raise ValueError("nearest-grid mapping is defined for the centered grid")
     N, M, Q = cfg.N, cfg.M, cfg.Q
     h = math.floor(r / cfg.range_resolution + M / 2.0 + 0.5)
     g, m = divmod(h, M)
@@ -375,7 +363,7 @@ def recovered_targets(scene: SparseScene, g: int, dic: Dictionary) -> list[Recov
     """Physical-domain view of a solver output for coarse cell g."""
     out = []
     for flat, beta in zip(scene.support, scene.coeffs):
-        r, v, theta = grid_to_physical(flat, g, dic.cfg, centered=dic.centered)
+        r, v, theta = grid_to_physical(flat, g, dic.cfg)
         out.append(
             RecoveredTarget(
                 r=r, v=v, theta=theta, beta=complex(beta), flat_index=int(flat), cell=int(g)

@@ -15,9 +15,8 @@ g for every g; off-center ranges straddle bins and leak, which is physical.
 
 Noise convention: ``sigma_r`` is the per-sample noise standard deviation in
 the pulse-compressed (cell) domain.  ``simulate_fast_time`` therefore injects
-variance sigma_r**2 / G per fast-time sample by default, since the
-unnormalized IDFT scales noise variance by G; pass ``noise_at="sample"`` to
-inject sigma_r**2 at the fast-time samples instead.
+variance sigma_r**2 / G per fast-time sample, since the unnormalized IDFT
+scales noise variance by G.
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ def validate_target(t: Target, cfg: SystemConfig) -> None:
 
 def sigma_for_snr(cfg: SystemConfig, snr_db: float) -> float:
     """Cell-domain noise std for a radar SNR of N*K*Q_r / sigma**2."""
-    return float(np.sqrt(cfg.N * cfg.K * cfg.Q_r / 10.0 ** (snr_db / 10.0)))
+    return float(np.sqrt(cfg.n1 / 10.0 ** (snr_db / 10.0)))
 
 def unit_echo_alpha(r: float, phase: float, cfg: SystemConfig) -> complex:
     """Reflectivity whose post-compression amplitude is exactly exp(1j*phase).
@@ -160,11 +159,8 @@ def simulate_fast_time(
     cfg: SystemConfig,
     sigma_r: float,
     rng: np.random.Generator | None = None,
-    noise_at: str = "cell",
 ) -> FastTimeCube:
     """De-chirped fast-time cube (N, K, Q_r, G) for a scene."""
-    if noise_at not in ("cell", "sample"):
-        raise ValueError(f"noise_at must be 'cell' or 'sample', got {noise_at!r}")
     if len(selections) != cfg.N:
         raise ValueError(f"need {cfg.N} selections, got {len(selections)}")
     for t in scene:
@@ -191,8 +187,7 @@ def simulate_fast_time(
     if sigma_r > 0.0:
         if rng is None:
             raise ValueError("rng is required when sigma_r > 0")
-        var = sigma_r**2 / cfg.G if noise_at == "cell" else sigma_r**2
-        scale = np.sqrt(var / 2.0)
+        scale = np.sqrt(sigma_r**2 / cfg.G / 2.0)
         data += scale * (
             rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
         )

@@ -133,6 +133,48 @@ def test_phase_transition_empirical_csv(tmp_path):
     assert float(rows[0]["success_rate"]) == 1.0
 
 
+def test_phase_transition_censored_crossing_is_null(tmp_path):
+    # every trial succeeds at L = 1 and 2, so the 0.6 crossing lies above
+    # the levels tried and is reported as null rather than as L = 2
+    out = tmp_path / "pt.csv"
+    rc = cli.main(["phase-transition", "--mode", "empirical", "--l-values", "1,2",
+                   "--N", "16", "--variants", "base", "--trials", "3", "--out", str(out)])
+    assert rc == 0
+    comments, rows = _read_csv(out)
+    assert [r["successes"] for r in rows] == ["3", "3"]
+    summary = next(c for c in comments if "crossing(0.6)" in c)
+    assert json.loads(summary.split(": ", 1)[1])["base"]["empirical_crossing"] is None
+
+
+def test_phase_transition_rejects_mode_both(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["phase-transition", "--mode", "both"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'both'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--bits", "110"],
+    ["ambiguity"],
+    ["recovery-map"],
+    ["comm-ber"],
+    ["comm-rate"],
+    ["resolution-report"],
+    ["hw-report"],
+])
+def test_workers_rejected_where_unused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + ["--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_workers_accepted_by_parallel_commands():
+    parser = cli.build_parser()
+    for command in ("radar-hit-rate", "phase-transition"):
+        assert parser.parse_args([command, "--workers", "3"]).workers == 3
+
+
 # ----------------------------------------------------------------------
 # radar commands
 # ----------------------------------------------------------------------

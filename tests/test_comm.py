@@ -20,9 +20,35 @@ from frac.comm import (
     symbol_to_selection,
     transmit,
 )
-from frac.comm import _decide_batch, _gram_factors, _sod_groups
+from frac.comm import _decide, _gram_factors, _sod_groups, _symbol_gram
 from frac.config import reference_config
 from frac.im_codec import encode, random_selection_sequence
+
+
+def reference_ml(y, psi, symbols):
+    """Sample-domain minimum distance over the alphabet."""
+    T = psi @ symbols.E
+    scores = np.sum(np.abs(T) ** 2, axis=0) - 2.0 * np.real(T.conj().T @ y)
+    return int(np.argmin(scores))
+
+
+def detected_carriers(y, psi, cfg):
+    """The K carriers with the largest normalized best-element response."""
+    u = psi.conj().T @ y
+    colnorm = np.sqrt(np.real(np.sum(np.abs(psi) ** 2, axis=0)))
+    gv = (np.abs(u) / np.maximum(colnorm, 1e-300)).reshape(cfg.M, cfg.P)
+    return tuple(sorted(int(i) for i in np.argsort(-gv.max(axis=1), kind="stable")[: cfg.K]))
+
+
+def reference_sod(y, psi, cfg, symbols):
+    """Sample-domain carrier-set detection, then ML over the detected set."""
+    det = detected_carriers(y, psi, cfg)
+    cand = [i for i, cs in enumerate(symbols.carrier_sets) if cs == det]
+    if not cand:
+        cand = list(range(symbols.n_words))
+    T = psi @ symbols.E[:, cand]
+    scores = np.sum(np.abs(T) ** 2, axis=0) - 2.0 * np.real(T.conj().T @ y)
+    return int(cand[int(np.argmin(scores))])
 
 
 def small_config(**overrides):
@@ -154,29 +180,50 @@ def test_noiseless_decoding_exhaustive(cfg, psi):
         assert sod_decode(y, psi, cfg, symbols) == idx
 
 
-def test_gram_batch_matches_direct_decoders(cfg, psi):
-    # feed the Gram-domain batch the exact noise realization of the direct
-    # path; decisions must agree decision-by-decision
+def _compare_with_reference(cfg, psi, snr_db, draws, rng):
+    """Gram-domain batch and public decoders against the sample-domain
+    reference on one noise realization; returns the count of draws whose
+    detected carrier set lies outside the alphabet."""
     symbols = enumerate_symbols(cfg)
-    groups = _sod_groups(cfg, symbols)
     gamma, chol, colnorm = _gram_factors(psi)
-    rng = np.random.default_rng(4)
-    sigma = sigma_for_comm_snr(cfg, 6.0)
-    t_idx = rng.integers(0, symbols.n_words, 40)
-    direct_ml, direct_sod, zs = [], [], []
-    for d, t in enumerate(t_idx):
+    GE, q = _symbol_gram(gamma, symbols)
+    sigma = sigma_for_comm_snr(cfg, snr_db)
+    t_idx = rng.integers(0, symbols.n_words, draws)
+    direct_ml, direct_sod, single_ml, single_sod, zs = [], [], [], [], []
+    outside = 0
+    for t in t_idx:
         y = transmit(symbols.E[:, t], psi, sigma, rng)
-        direct_ml.append(ml_decode(y, psi, symbols))
-        direct_sod.append(sod_decode(y, psi, cfg, symbols))
+        direct_ml.append(reference_ml(y, psi, symbols))
+        direct_sod.append(reference_sod(y, psi, cfg, symbols))
+        single_ml.append(ml_decode(y, psi, symbols))
+        single_sod.append(sod_decode(y, psi, cfg, symbols))
+        outside += detected_carriers(y, psi, cfg) not in symbols.carrier_sets
         w = y - psi @ symbols.E[:, t]
         # express Psi^H w in the chol basis so the batch sees the same noise
         zs.append(np.linalg.solve(chol, psi.conj().T @ w) / sigma)
-    dec = _decide_batch(
-        cfg, symbols, gamma, chol, colnorm, t_idx, np.array(zs).T, sigma,
-        ("ml", "sod"), groups,
-    )
+    u = GE[:, t_idx] + sigma * (chol @ np.array(zs).T)
+    dec = _decide(cfg, symbols, q, colnorm, u, ("ml", "sod"), _sod_groups(symbols))
     np.testing.assert_array_equal(dec["ml"], direct_ml)
     np.testing.assert_array_equal(dec["sod"], direct_sod)
+    assert single_ml == direct_ml
+    assert single_sod == direct_sod
+    return outside
+
+
+def test_gram_batch_matches_direct_decoders(cfg, psi):
+    # feed the Gram-domain batch the exact noise realization of the
+    # sample-domain reference; decisions must agree decision-by-decision, and
+    # the public decoders (batches of one) must agree too
+    _compare_with_reference(cfg, psi, 6.0, 40, np.random.default_rng(4))
+
+
+def test_gram_batch_sod_falls_back_outside_alphabet():
+    # C(6, 2) = 15 carrier pairs, 8 encodable: at low SNR some detected pairs
+    # are outside the alphabet and SOD keeps the full-search decision
+    cfg = small_config(M=6, K=2, P=4)
+    psi = build_psi(sample_channel(cfg, np.random.default_rng(9)), cfg)
+    outside = _compare_with_reference(cfg, psi, -4.0, 60, np.random.default_rng(10))
+    assert outside > 0
 
 
 def test_ber_curve_shape_and_determinism(cfg):

@@ -9,7 +9,6 @@ from frac.config import (
     SPEED_OF_LIGHT,
     ConfigError,
     SystemConfig,
-    derive,
     reference_config,
 )
 
@@ -24,6 +23,8 @@ def test_reference_derived_values():
     assert cfg.G == 25
     assert cfg.U == 5000
     assert cfg.Q == 8
+    assert cfg.n1 == 32 * 1 * 2
+    assert cfg.n2 == 32 * 8 * 4 * 2
     assert cfg.d_r == pytest.approx(cfg.wavelength / 2.0)
     assert cfg.d_t == pytest.approx(cfg.Q_r * cfg.d_r)
     assert cfg.f_s_comm == pytest.approx(cfg.B)
@@ -113,7 +114,7 @@ def test_json_round_trip():
     cfg = reference_config(K=2, J=4, seed=7)
     again = SystemConfig.from_json(cfg.to_json())
     assert again == cfg
-    assert derive(cfg.to_dict()) == cfg
+    assert SystemConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_from_json_rejects_non_object():

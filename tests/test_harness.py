@@ -144,6 +144,21 @@ def test_hit_rate_bp_empty_noise_ball_scores_miss(monkeypatch):
     assert iterations and all(it == 0 for it in iterations)
 
 
+def test_hit_rate_one_worker_runs_in_process(monkeypatch):
+    # span tracing wraps module attributes, so with one worker every trial's
+    # dictionary must be built through frac.harness in this process
+    build = frac.harness.build_dictionary
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(frac.harness, "build_dictionary", counted)
+    run_hit_rate(tiny_radar(), [10.0, 30.0], trials=5, seed=0, workers=1)
+    assert len(calls) == 5
+
+
 # ----------------------------------------------------------------------
 # recovery map
 # ----------------------------------------------------------------------
@@ -196,6 +211,14 @@ def test_recovery_map_dump_cube(tmp_path):
     assert cube.data.shape == (cfg.N, cfg.K, cfg.Q_r, cfg.G)
 
 
+def test_recovery_map_rejects_solver_before_simulating(tmp_path):
+    cfg = tiny_radar()
+    path = tmp_path / "dump.frc"
+    with pytest.raises(ValueError, match="solver"):
+        run_recovery_map(cfg, reference_scene(cfg), solver="lasso", dump_cube_path=path)
+    assert not path.exists()
+
+
 # ----------------------------------------------------------------------
 # ambiguity / phase transition
 # ----------------------------------------------------------------------
@@ -235,6 +258,23 @@ def test_run_phase_transition_empirical_workers():
     assert rows1 == rows2 and cross1 == cross2
     assert rows1[0]["success_rate"] >= 5 / 6
     assert rows1[1]["success_rate"] <= 1 / 6
+
+
+def test_run_phase_transition_one_worker_runs_in_process(monkeypatch):
+    # span tracing wraps module attributes, so with one worker every trial
+    # must call frac.phase_transition.recovery_trial in this process
+    import frac.phase_transition
+
+    trial = frac.phase_transition.recovery_trial
+    calls = []
+
+    def counted(cfg, l_sparse, rng):
+        calls.append(l_sparse)
+        return trial(cfg, l_sparse, rng)
+
+    monkeypatch.setattr(frac.phase_transition, "recovery_trial", counted)
+    run_phase_transition_empirical(tiny_radar(), [1, 2, 3], trials=2, seed=0, workers=1)
+    assert calls == [1, 1, 2, 2, 3, 3]
 
 
 # ----------------------------------------------------------------------

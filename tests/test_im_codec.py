@@ -240,14 +240,6 @@ def test_random_sequence_shapes_and_validity():
     np.testing.assert_allclose(j, np.round(j), atol=1e-12)
 
 
-def test_random_sequence_encodable_only_round_trips():
-    cfg = reference_config(M=6, K=2, P=4, J=2)
-    rng = np.random.default_rng(3)
-    for sel in random_selection_sequence(cfg, rng, n_pulses=40, encodable_only=True):
-        word = decode(sel, cfg)
-        assert encode(word, cfg) == sel
-
-
 def test_random_sequence_reaches_unencodable():
     # full uniform draws must eventually produce subsets the codec skips
     cfg = reference_config(M=6, K=2, P=4, J=2)

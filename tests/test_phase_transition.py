@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 
 from frac.config import reference_config
+from frac.harness import run_phase_transition_empirical
 from frac.phase_transition import (
     CROSSING_LEVEL,
-    PtCurve,
     approx_threshold,
     crossing,
-    empirical_transition,
     measurement_count,
     pt_integral,
     pt_integral_quad,
     recovery_trial,
     solve_threshold,
-    threshold_for_config,
 )
 
 
@@ -63,7 +61,7 @@ def test_solve_threshold_reference_table():
     ]
     for overrides, expect in cases:
         cfg = reference_config(**overrides)
-        sol = threshold_for_config(cfg)
+        sol = solve_threshold(cfg.n1, cfg.n2)
         assert sol.l_star == pytest.approx(expect, abs=0.061), overrides
         # budget is met exactly at the transition
         need, _ = measurement_count(sol.l_star, sol.n2)
@@ -96,15 +94,14 @@ def test_threshold_argument_checks():
 
 
 def test_crossing_interpolation():
-    curve = PtCurve(l_values=(1, 2, 3, 4), success=(1.0, 0.9, 0.3, 0.0), trials=10)
-    got = crossing(curve)
+    got = crossing((1, 2, 3, 4), (1.0, 0.9, 0.3, 0.0))
     assert 2.0 < got < 3.0
     assert got == pytest.approx(2.0 + (0.9 - CROSSING_LEVEL) / 0.6)
-    # degenerate curves clamp to the ends
-    low = PtCurve(l_values=(1, 2), success=(0.2, 0.1), trials=10)
-    assert crossing(low) == 1.0
-    high = PtCurve(l_values=(1, 2), success=(1.0, 0.9), trials=10)
-    assert crossing(high) == 2.0
+    # levels are sorted before interpolating
+    assert crossing((4, 2, 3, 1), (0.0, 0.9, 0.3, 1.0)) == got
+    # a curve that never crosses has its crossing outside the levels tried
+    assert crossing((1, 2), (0.2, 0.1)) is None
+    assert crossing((1, 2), (1.0, 0.9)) is None
 
 
 def test_recovery_trial_easy_and_hard():
@@ -118,16 +115,33 @@ def test_recovery_trial_easy_and_hard():
 
 def test_empirical_transition_smoke():
     cfg = reference_config(N=8, M=4, P=2, Q_r=1)
-    curve = empirical_transition(cfg, l_values=[1, 6], trials=6, seed=0)
-    assert curve.success[0] >= 5 / 6
-    assert curve.success[1] <= 1 / 6
-    assert curve.trials == 6
-    with pytest.raises(ValueError):
-        empirical_transition(cfg, l_values=[0], trials=2)
+    rows, _ = run_phase_transition_empirical(cfg, [1, 6], trials=6, seed=0)
+    assert rows[0]["success_rate"] >= 5 / 6
+    assert rows[1]["success_rate"] <= 1 / 6
+    assert [r["trials"] for r in rows] == [6, 6]
 
 
 def test_empirical_transition_deterministic():
     cfg = reference_config(N=8, M=4, P=2, Q_r=1)
-    a = empirical_transition(cfg, l_values=[2], trials=4, seed=3)
-    b = empirical_transition(cfg, l_values=[2], trials=4, seed=3)
+    a = run_phase_transition_empirical(cfg, [2], trials=4, seed=3)
+    b = run_phase_transition_empirical(cfg, [2], trials=4, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("level", [0, -1, 65, 300])
+def test_empirical_transition_rejects_levels_outside_grid(level):
+    # 64 grid columns: L = 0 used to score as a success, L > 64 failed
+    # inside numpy's sampler
+    cfg = reference_config(N=8, M=4, P=2, Q_r=1)
+    assert cfg.n2 == 64
+    with pytest.raises(ValueError, match=f"sparsity level {level} "):
+        run_phase_transition_empirical(cfg, [1, level], trials=2)
+
+
+def test_empirical_transition_accepts_full_grid_and_rejects_no_trials():
+    cfg = reference_config(N=2, M=2, P=2, Q_r=1)
+    rows, _ = run_phase_transition_empirical(cfg, [cfg.n2], trials=1)
+    assert rows[0]["trials"] == 1
+    with pytest.raises(ValueError, match="trials"):
+        run_phase_transition_empirical(cfg, [1], trials=0)
+

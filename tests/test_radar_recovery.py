@@ -47,11 +47,6 @@ def test_center_column_is_all_ones(cfg, dic):
     np.testing.assert_allclose(dic.A[:, flat], 1.0, atol=1e-12)
 
 
-def test_uncentered_origin_column(cfg, selections):
-    dic0 = build_dictionary(selections, cfg, centered=False)
-    np.testing.assert_allclose(dic0.A[:, dic0.flat_index(0, 0, 0)], 1.0, atol=1e-12)
-
-
 def test_flat_index_round_trip(dic):
     for flat in (0, 17, 1234, dic.A.shape[1] - 1):
         assert dic.flat_index(*dic.unflatten(flat)) == flat

@@ -113,11 +113,8 @@ def test_noise_variance_cell_domain(cfg, selections):
     crrp = pulse_compress(cube)
     var = np.var(crrp.data)
     assert var == pytest.approx(sigma**2, rel=0.05)
-    # sample-domain injection leaves variance sigma^2 before compression
-    cube2 = simulate_fast_time(
-        [], selections, cfg, sigma_r=sigma, rng=rng, noise_at="sample"
-    )
-    assert np.var(cube2.data) == pytest.approx(sigma**2, rel=0.05)
+    # before compression each fast-time sample carries sigma^2 / G
+    assert np.var(cube.data) == pytest.approx(sigma**2 / cfg.G, rel=0.05)
 
 
 def test_direct_noise_variance(cfg, selections):
