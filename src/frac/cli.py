@@ -144,6 +144,10 @@ def _cmd_phase_transition(args) -> int:
     cfg = _load_config(args)
     variants = harness.parse_variants(cfg, args.variants)
     if args.mode == "theory":
+        given = [f"--{name.replace('_', '-')}" for name in ("l_values", "trials", "workers")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} only apply to --mode empirical")
         rows = harness.run_phase_transition_theory(cfg, variants)
         _write_csv(args, cfg, ["variant", "n1", "n2", "l_star", "beta_star",
                                "l_star_approx"], rows)
@@ -158,7 +162,8 @@ def _cmd_phase_transition(args) -> int:
             hi = max(3, int(math.ceil(theory.l_star * 2.0)))
             l_values = list(range(1, hi + 1))
         rows, crossing = harness.run_phase_transition_empirical(
-            vcfg, l_values, args.trials, seed=vcfg.seed, workers=args.workers
+            vcfg, l_values, 100 if args.trials is None else args.trials,
+            seed=vcfg.seed, workers=1 if args.workers is None else args.workers,
         )
         for r in rows:
             r["variant"] = name
@@ -299,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of 'base' or FIELD=VALUE configs")
     p.add_argument("--l-values", default=None,
                    help="sparsity grid (range syntax); default 1..2*l_star")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--trials", type=int, default=None,
+                   help="trials per sparsity level (empirical; default 100)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="parallel worker processes (empirical; default 1)")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_phase_transition)
 

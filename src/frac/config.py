@@ -200,17 +200,26 @@ class SystemConfig:
     # ------------------------------------------------------------------
 
     @property
+    def bit_groups(self) -> tuple[int, int, int, int]:
+        """Widths of a pulse word's groups: (carrier set, antenna set,
+        pairing, PSK), floor(log2) of C(M,K), C(P,K), K! and J.  The word
+        carries one PSK group per selected carrier, K in all."""
+        return (
+            math.comb(self.M, self.K).bit_length() - 1,
+            math.comb(self.P, self.K).bit_length() - 1,
+            math.factorial(self.K).bit_length() - 1,
+            self.J.bit_length() - 1,
+        )
+
+    @property
     def n_im_bits(self) -> int:
         """Index-modulation bits per pulse (carrier set, antenna set, pairing)."""
-        n_carrier = math.comb(self.M, self.K).bit_length() - 1
-        n_antenna = math.comb(self.P, self.K).bit_length() - 1
-        n_perm = math.factorial(self.K).bit_length() - 1
-        return n_carrier + n_antenna + n_perm
+        return sum(self.bit_groups[:3])
 
     @property
     def n_pm_bits(self) -> int:
         """Phase-modulation bits per pulse, K * log2(J)."""
-        return self.K * (self.J.bit_length() - 1)
+        return self.K * self.bit_groups[3]
 
     @property
     def n_total_bits(self) -> int:

@@ -164,41 +164,36 @@ def _hit_rate_chunk(args) -> np.ndarray:
     (cfg_dict, snr_db_list, trial_lo, trial_hi, seed, scene_mode, n_targets, solver) = args
     cfg = SystemConfig.from_dict(cfg_dict)
     fixed_scene = reference_scene(cfg) if scene_mode == "fixed" else None
+    sigmas = np.array([sigma_for_snr(cfg, snr) for snr in snr_db_list])
     hits = np.zeros(len(snr_db_list), dtype=np.int64)
     for trial in range(trial_lo, trial_hi):
         rng = np.random.default_rng([seed, _TAG_HIT, trial])
         selections = random_selection_sequence(cfg, rng)
         scene = fixed_scene if fixed_scene is not None else _random_grid_scene(cfg, n_targets, rng)
-        truth = _scene_truth(scene, cfg)
         dic = build_dictionary(selections, cfg)
-        per_cell = []
-        for g, flats in sorted(truth.items()):
+        ok = np.ones(len(snr_db_list), dtype=bool)
+        for g, flats in sorted(_scene_truth(scene, cfg).items()):
             cell_scene = [t for t in scene if cell_index(t.r, cfg) == g]
-            clean = simulate_cell_direct(cell_scene, selections, cfg, 0.0, g=g)
+            clean = simulate_cell_direct(cell_scene, selections, cfg, 0.0, g=g).data
             noise = (
-                rng.standard_normal(clean.data.shape)
-                + 1j * rng.standard_normal(clean.data.shape)
+                rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
             ) / math.sqrt(2.0)
-            per_cell.append((g, flats, clean.data, noise, len(cell_scene)))
-        for si, snr in enumerate(snr_db_list):
-            sigma = sigma_for_snr(cfg, snr)
-            ok = True
-            for g, flats, clean, noise, count in per_cell:
-                y = (clean + sigma * noise).reshape(-1)
+            # one snapshot per SNR: row s is clean + sigma_s * noise
+            Y = clean.reshape(-1) + sigmas[:, None] * noise.reshape(-1)
+            if solver == "omp":
+                scenes = omp_recover(Y, dic, n_targets=len(cell_scene))
+                ok &= [set(sol.support) == flats for sol in scenes]
+                continue
+            # one BP solve per SNR that every earlier cell got right
+            for si in np.flatnonzero(ok):
                 try:
-                    if solver == "omp":
-                        sol = omp_recover(y, dic, n_targets=count)
-                        found = set(sol.support)
-                    else:
-                        sol = bp_recover(y, dic, eps=default_bp_eps(cfg, sigma))
-                        top = np.argsort(-np.abs(sol.coeffs))[:count]
-                        found = set(sol.support[i] for i in top)
+                    sol = bp_recover(Y[si], dic, eps=default_bp_eps(cfg, sigmas[si]))
+                    top = np.argsort(-np.abs(sol.coeffs))[:len(cell_scene)]
+                    found = set(sol.support[i] for i in top)
                 except NonConvergenceError:
                     found = set()
-                if found != flats:
-                    ok = False
-                    break
-            hits[si] += ok
+                ok[si] = found == flats
+        hits += ok
     return hits
 
 
@@ -232,6 +227,10 @@ def run_hit_rate(
         raise ValueError(f"scene_mode must be 'fixed' or 'random', got {scene_mode!r}")
     if solver not in ("omp", "bp"):
         raise ValueError(f"solver must be 'omp' or 'bp', got {solver!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if scene_mode == "random" and not 1 <= n_targets <= cfg.n2:
+        raise ValueError(f"n_targets {n_targets} outside [1, n2={cfg.n2}]")
     snr_db_list = [float(s) for s in snr_db_list]
     jobs = [
         (cfg.to_dict(), snr_db_list, lo, hi, seed, scene_mode, n_targets, solver)

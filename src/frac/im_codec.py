@@ -9,8 +9,9 @@ rank of the sorted subset; the antenna-set group does the same for K of P
 transmit elements; the pairing group is the Lehmer rank of the permutation
 assigning carriers to antennas; each of the K PSK groups is the index of a
 J-ary phase.  Group widths are floor(log2 C(M,K)), floor(log2 C(P,K)),
-floor(log2 K!) and K*log2(J), so some subsets/permutations are unreachable
-whenever the counts are not powers of two.
+floor(log2 K!) and K*log2(J) (``SystemConfig.bit_groups``), so some
+subsets/permutations are unreachable whenever the counts are not powers of
+two.
 
 Unranking is arithmetic (no tables), so large M and P cost O(K log M) work.
 """
@@ -221,10 +222,7 @@ def _split_word(bits: str, cfg: SystemConfig) -> tuple[int, int, int, list[int]]
         raise ValueError(
             f"expected a {cfg.n_total_bits}-bit binary word, got {bits!r}"
         )
-    n_car = math.comb(cfg.M, cfg.K).bit_length() - 1
-    n_ant = math.comb(cfg.P, cfg.K).bit_length() - 1
-    n_perm = math.factorial(cfg.K).bit_length() - 1
-    j_bits = cfg.J.bit_length() - 1
+    n_car, n_ant, n_perm, j_bits = cfg.bit_groups
     pos = 0
 
     def take(width: int) -> int:
@@ -256,10 +254,7 @@ def decode(sel: PulseSelection, cfg: SystemConfig, mapping: MappingTable | None 
     if mapping is not None:
         return mapping.decode(sel)
     _check_selection(sel, cfg)
-    n_car = math.comb(cfg.M, cfg.K).bit_length() - 1
-    n_ant = math.comb(cfg.P, cfg.K).bit_length() - 1
-    n_perm = math.factorial(cfg.K).bit_length() - 1
-    j_bits = cfg.J.bit_length() - 1
+    n_car, n_ant, n_perm, j_bits = cfg.bit_groups
 
     carriers_sorted = tuple(sorted(sel.carriers))
     car_rank = comb_rank(carriers_sorted, cfg.M)

@@ -6,12 +6,23 @@ centered frequency grids, f(idx) = idx/size - 1/2, so grid index
 (N/2, M/2, Q/2) is the zero-offset (all-ones) steering column and recovered
 fine ranges/velocities/angles are signed offsets around the cell center.
 
+Entry (row, column) of A is exp(-2 pi i (m f_r + xi n f_v + xi virt f_t)),
+where row (n, k, q_r) transmits carrier m with frequency ratio xi from
+virtual element virt, so each row is the face-splitting (row-wise Kronecker)
+product of three short tables over f_v (N), f_r (M) and f_t (P*Q_r).  The
+build evaluates n1 (N + M + P*Q_r) exponentials and multiplies the tables
+out, instead of one exponential per entry.
+
 Two solvers are provided: greedy orthogonal matching pursuit with
 least-squares refitting, and an ADMM basis-pursuit solver handling both the
 equality (eps = 0) and noisy inequality constraint through an l2-ball
-projection.  The ADMM linear solve uses the inverse of the small row-space
-matrix (I + A A^H) via the matrix-inversion identity, so the per-iteration
-cost is two dictionary products.
+projection.  OMP takes one snapshot or a block of them (a simplified
+Batch-OMP, Rubinstein, Zibulevsky & Elad 2008): each step correlates every
+unfinished snapshot with one product R^* A, and each snapshot keeps its own
+support, refit and stopping rule, so a block gives the scenes its rows
+would give one at a time.  The ADMM linear solve uses the inverse of the
+small row-space matrix (I + A A^H) via the matrix-inversion identity, so the
+per-iteration cost is two dictionary products.
 """
 
 from __future__ import annotations
@@ -137,12 +148,14 @@ def build_dictionary(
     f_r = np.arange(cfg.M) / cfg.M - 0.5
     f_t = np.arange(cfg.Q) / cfg.Q - 0.5
 
-    phase = (
-        m_row[:, None, None, None] * f_r[None, None, :, None]
-        + (xi_row * n_row)[:, None, None, None] * f_v[None, :, None, None]
-        + (xi_row * virt_row)[:, None, None, None] * f_t[None, None, None, :]
-    )
-    A = np.exp(-2j * np.pi * phase).reshape(n_rows, n_cols)
+    # A[row, (n~, m, q)] = e_v[row, n~] * e_r[row, m] * e_t[row, q]: each row
+    # is the face-splitting product of three short exponential tables
+    e_v = np.exp(-2j * np.pi * (xi_row * n_row)[:, None] * f_v[None, :])
+    e_r = np.exp(-2j * np.pi * m_row[:, None] * f_r[None, :])
+    e_t = np.exp(-2j * np.pi * (xi_row * virt_row)[:, None] * f_t[None, :])
+    A = (
+        e_v[:, :, None, None] * e_r[:, None, :, None] * e_t[:, None, None, :]
+    ).reshape(n_rows, n_cols)
     return Dictionary(A=A, cfg=cfg, selections=tuple(selections), exact_xi=exact_xi)
 
 
@@ -156,48 +169,66 @@ def omp_recover(
     n_targets: int | None = None,
     residual_tol: float | None = None,
     max_iter: int | None = None,
-) -> SparseScene:
+) -> SparseScene | list[SparseScene]:
     """Orthogonal matching pursuit with least-squares refitting.
 
     Stops after ``n_targets`` atoms when the model order is known, otherwise
-    when the residual norm drops to ``residual_tol``.
+    when the residual norm drops to ``residual_tol``.  ``y`` is one snapshot
+    of shape (n1,), which returns one scene, or a block of S snapshots of
+    shape (S, n1), which returns a list of S scenes, each the scene its row
+    would give alone.  Every step correlates all unfinished rows with one
+    dictionary product.
     """
     if n_targets is None and residual_tol is None:
         raise ValueError("one of n_targets or residual_tol is required")
     A = dic.A
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if y.shape[0] != A.shape[0]:
-        raise ValueError(f"snapshot length {y.shape[0]} != dictionary rows {A.shape[0]}")
+    Y = np.asarray(y, dtype=np.complex128)
+    if Y.ndim not in (1, 2):
+        raise ValueError(f"snapshots must be 1-D or a 2-D block, got shape {Y.shape}")
+    if Y.shape[-1] != A.shape[0]:
+        raise ValueError(f"snapshot length {Y.shape[-1]} != dictionary rows {A.shape[0]}")
+    Y2 = Y.reshape(-1, A.shape[0])
     cap = n_targets if n_targets is not None else min(A.shape[0], 64)
     if max_iter is not None:
         cap = min(cap, max_iter)
 
-    support: list[int] = []
-    coeffs = np.zeros(0, dtype=np.complex128)
-    resid = y.copy()
-    for it in range(cap):
-        if n_targets is None and np.linalg.norm(resid) <= residual_tol:
+    supports: list[list[int]] = [[] for _ in range(Y2.shape[0])]
+    coeffs = [np.zeros(0, dtype=np.complex128)] * Y2.shape[0]
+    R = Y2.copy()
+    active = list(range(Y2.shape[0]))
+    for _ in range(cap):
+        if n_targets is None:
+            active = [i for i in active if np.linalg.norm(R[i]) > residual_tol]
+        if not active:
             break
-        corr = np.abs(A.conj().T @ resid)
-        if support:
-            corr[support] = -1.0
-        support.append(int(np.argmax(corr)))
-        sub = A[:, support]
-        coeffs, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        resid = y - sub @ coeffs
-    rnorm = float(np.linalg.norm(resid))
-    if n_targets is None and rnorm > residual_tol:
-        raise NonConvergenceError(
-            f"OMP residual {rnorm:.3e} above tolerance {residual_tol:.3e} "
-            f"after {cap} atoms"
+        corr = np.abs(R[active].conj() @ A)
+        for c, i in zip(corr, active):
+            support = supports[i]
+            if support:
+                c[support] = -1.0
+            support.append(int(np.argmax(c)))
+            sub = A[:, support]
+            coeffs[i] = np.linalg.lstsq(sub, Y2[i], rcond=None)[0]
+            R[i] = Y2[i] - sub @ coeffs[i]
+    scenes = []
+    for i, support in enumerate(supports):
+        rnorm = float(np.linalg.norm(R[i]))
+        if n_targets is None and rnorm > residual_tol:
+            where = f" in snapshot {i}" if Y.ndim == 2 else ""
+            raise NonConvergenceError(
+                f"OMP residual {rnorm:.3e} above tolerance {residual_tol:.3e} "
+                f"after {cap} atoms{where}"
+            )
+        scenes.append(
+            SparseScene(
+                support=tuple(support),
+                coeffs=np.asarray(coeffs[i], dtype=np.complex128),
+                residual_norm=rnorm,
+                n_columns=A.shape[1],
+                iterations=len(support),
+            )
         )
-    return SparseScene(
-        support=tuple(support),
-        coeffs=np.asarray(coeffs, dtype=np.complex128),
-        residual_norm=rnorm,
-        n_columns=A.shape[1],
-        iterations=len(support),
-    )
+    return scenes if Y.ndim == 2 else scenes[0]
 
 
 def default_bp_eps(cfg: SystemConfig, sigma_r: float) -> float:

@@ -146,6 +146,27 @@ def test_phase_transition_censored_crossing_is_null(tmp_path):
     assert json.loads(summary.split(": ", 1)[1])["base"]["empirical_crossing"] is None
 
 
+@pytest.mark.parametrize("flags", [
+    ["--trials", "5"],
+    ["--l-values", "1:1:3"],
+    ["--workers", "2"],
+    ["--trials", "0", "--l-values", "0", "--workers", "5"],
+])
+def test_phase_transition_theory_rejects_empirical_flags(flags, capsys):
+    rc = cli.main(["phase-transition", "--mode", "theory", "--variants", "base"] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    for flag in flags[::2]:
+        assert flag in err
+    assert "--mode empirical" in err
+
+
+def test_phase_transition_empirical_defaults():
+    args = cli.build_parser().parse_args(["phase-transition", "--mode", "empirical"])
+    assert (args.trials, args.workers, args.l_values) == (None, None, None)
+    assert cli.build_parser().parse_args(["phase-transition"]).mode == "theory"
+
+
 def test_phase_transition_rejects_mode_both(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["phase-transition", "--mode", "both"])
@@ -290,6 +311,16 @@ def test_r_max_override_drops_paired_rate(tmp_path):
 def test_invalid_config_exits_2(capsys):
     assert cli.main(["resolution-report", "--K", "5"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--trials", "0"], "trials must be at least 1, got 0"),
+    (["--scene", "random", "--n-targets", "0"], "n_targets 0 outside"),
+    (["--scene", "random", "--n-targets", "5000"], "n_targets 5000 outside"),
+])
+def test_hit_rate_bad_counts_exit_2(argv, message, capsys):
+    assert cli.main(["radar-hit-rate", "--snr", "10", "--trials", "2"] + argv + TINY) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bad_range_exits_2(capsys):

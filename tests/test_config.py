@@ -60,6 +60,16 @@ def test_bit_budget_matches_logs(M, K, P, J):
     assert cfg.n_total_bits == cfg.n_im_bits + cfg.n_pm_bits
 
 
+def test_bit_groups_layout():
+    # (carrier set, antenna set, pairing, PSK): M=8, K=2, P=4, J=4 gives
+    # floor(log2 28), floor(log2 6), log2 2! and log2 4 per PSK group
+    cfg = reference_config(K=2, J=4)
+    assert cfg.bit_groups == (4, 2, 1, 2)
+    assert cfg.n_im_bits == 7
+    assert cfg.n_pm_bits == 2 * 2
+    assert reference_config().bit_groups == (3, 2, 0, 1)
+
+
 def test_sampling_rate_range_consistency():
     base = reference_config()
     # r_max alone must reproduce the rate, and giving both consistent

@@ -21,8 +21,8 @@ from frac.harness import (
     run_recovery_map,
     snap_to_grid,
 )
-from frac.radar_recovery import physical_to_grid
-from frac.radar_sim import cell_index, load_cube
+from frac.radar_recovery import default_bp_eps, physical_to_grid
+from frac.radar_sim import cell_index, load_cube, sigma_for_snr
 
 
 def tiny_radar(**overrides):
@@ -157,6 +157,69 @@ def test_hit_rate_one_worker_runs_in_process(monkeypatch):
     monkeypatch.setattr(frac.harness, "build_dictionary", counted)
     run_hit_rate(tiny_radar(), [10.0, 30.0], trials=5, seed=0, workers=1)
     assert len(calls) == 5
+
+
+def test_hit_rate_omp_one_block_per_trial_and_cell(monkeypatch):
+    # every SNR of a cell goes to one omp_recover call as a 2-D block, so
+    # per-call timings of omp_recover measure one (trial, cell)
+    solve = frac.harness.omp_recover
+    shapes = []
+
+    def counted(y, *args, **kwargs):
+        shapes.append(np.shape(y))
+        return solve(y, *args, **kwargs)
+
+    monkeypatch.setattr(frac.harness, "omp_recover", counted)
+    cfg = reference_config(K=2)
+    snrs = [0.0, 10.0, 20.0]
+    run_hit_rate(cfg, snrs, trials=3, seed=0, workers=1)
+    cells = len({cell_index(t.r, cfg) for t in reference_scene(cfg)})
+    assert cells == 2
+    assert shapes == [(len(snrs), cfg.n1)] * (3 * cells)
+    shapes.clear()
+    run_hit_rate(cfg, snrs, trials=4, seed=0, scene_mode="random", n_targets=2, workers=1)
+    assert shapes == [(len(snrs), cfg.n1)] * 4
+
+
+def test_hit_rate_bp_skips_snrs_an_earlier_cell_missed(monkeypatch):
+    # BP solves one snapshot at a time; at an SNR where the first cell is a
+    # miss the second cell is not solved
+    solve = frac.harness.bp_recover
+    eps_seen = []
+
+    def recording_bp(y, dic, eps=0.0, **kwargs):
+        eps_seen.append(eps)
+        return solve(y, dic, eps=eps, **kwargs)
+
+    monkeypatch.setattr(frac.harness, "bp_recover", recording_bp)
+    cfg = tiny_radar(M=8)
+    assert len({cell_index(t.r, cfg) for t in reference_scene(cfg)}) == 2
+    pts = run_hit_rate(cfg, [0.0, 30.0], trials=3, seed=0, solver="bp")
+    assert [p.hits for p in pts] == [0, 3]
+    eps_low, eps_high = (default_bp_eps(cfg, sigma_for_snr(cfg, s)) for s in (0.0, 30.0))
+    assert eps_seen == pytest.approx([eps_low, eps_high, eps_high] * 3)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_hit_rate_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        run_hit_rate(tiny_radar(), [10.0], trials=trials)
+
+
+@pytest.mark.parametrize("n_targets", [0, -1, 65, 5000])
+def test_hit_rate_rejects_random_target_count_outside_grid(n_targets):
+    cfg = tiny_radar()
+    assert cfg.n2 == 64
+    with pytest.raises(ValueError, match=f"n_targets {n_targets} outside"):
+        run_hit_rate(cfg, [10.0], trials=2, scene_mode="random", n_targets=n_targets)
+    # the fixed scene does not read n_targets
+    assert run_hit_rate(cfg, [30.0], trials=1, n_targets=n_targets)[0].trials == 1
+
+
+def test_hit_rate_random_scene_accepts_full_grid():
+    cfg = tiny_radar()
+    pts = run_hit_rate(cfg, [30.0], trials=1, scene_mode="random", n_targets=cfg.n2)
+    assert pts[0].trials == 1
 
 
 # ----------------------------------------------------------------------

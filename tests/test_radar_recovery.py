@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from frac.config import reference_config
-from frac.im_codec import random_selection_sequence
+from frac.im_codec import random_selection_sequence, selection_arrays
 from frac.radar_recovery import (
     MAX_DICTIONARY_ELEMENTS,
     NonConvergenceError,
@@ -81,6 +81,58 @@ def test_columns_match_generator(cfg, selections, exact_xi):
         np.testing.assert_allclose(snap.flatten(), beta * col, atol=1e-9 * cfg.G)
 
 
+# ----------------------------------------------------------------------
+# factorized build against the dense reference
+# ----------------------------------------------------------------------
+
+def _dense_dictionary_reference(selections, cfg, exact_xi=True):
+    """One complex exponential per dictionary entry over the full phase grid."""
+    m_idx, p_idx, _ = selection_arrays(selections)
+    if exact_xi:
+        xi = (cfg.f_c + m_idx * cfg.delta_f) / cfg.f_c
+    else:
+        xi = np.ones_like(m_idx, dtype=float)
+    qr = np.arange(cfg.Q_r)
+    m_row = np.repeat(m_idx, cfg.Q_r).astype(float)
+    xi_row = np.repeat(xi, cfg.Q_r)
+    n_row = np.repeat(np.arange(cfg.N), cfg.K * cfg.Q_r).astype(float)
+    virt_row = (cfg.Q_r * p_idx[:, :, None] + qr[None, None, :]).reshape(-1).astype(float)
+    f_v = np.arange(cfg.N) / cfg.N - 0.5
+    f_r = np.arange(cfg.M) / cfg.M - 0.5
+    f_t = np.arange(cfg.Q) / cfg.Q - 0.5
+    phase = (
+        m_row[:, None, None, None] * f_r[None, None, :, None]
+        + (xi_row * n_row)[:, None, None, None] * f_v[None, :, None, None]
+        + (xi_row * virt_row)[:, None, None, None] * f_t[None, None, None, :]
+    )
+    return np.exp(-2j * np.pi * phase).reshape(cfg.n1, cfg.n2)
+
+
+@st.composite
+def _dictionary_configs(draw):
+    M = draw(st.sampled_from([2, 3, 4, 8, 16]))
+    P = draw(st.sampled_from([2, 3, 4, 8]))
+    return dict(
+        N=draw(st.sampled_from([1, 2, 4, 8, 16, 32])),
+        M=M,
+        K=draw(st.integers(1, min(M, P, 3))),
+        P=P,
+        Q_r=draw(st.integers(1, 4)),
+    )
+
+
+@given(_dictionary_configs(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_factorized_dictionary_matches_dense(params, exact_xi, seed):
+    cfg = reference_config(**params)
+    sels = random_selection_sequence(cfg, np.random.default_rng(seed))
+    dic = build_dictionary(sels, cfg, exact_xi=exact_xi)
+    assert dic.A.shape == (cfg.n1, cfg.n2)
+    np.testing.assert_allclose(
+        dic.A, _dense_dictionary_reference(sels, cfg, exact_xi), rtol=0, atol=1e-12
+    )
+
+
 def test_dictionary_size_cap():
     cfg = reference_config(N=128, M=32, P=8, Q_r=4, K=2)
     sels = random_selection_sequence(cfg, np.random.default_rng(0))
@@ -130,6 +182,15 @@ def test_grid_to_physical_rejects_bad_index(cfg):
 # solvers
 # ----------------------------------------------------------------------
 
+_SMALL_CONFIGS = st.fixed_dictionaries({
+    "N": st.sampled_from([4, 8]),
+    "M": st.sampled_from([2, 4]),
+    "K": st.integers(1, 2),
+    "P": st.sampled_from([2, 4]),
+    "Q_r": st.integers(1, 2),
+})
+
+
 def _planted(dic, flats, amps):
     b0 = np.zeros(dic.A.shape[1], dtype=np.complex128)
     b0[flats] = amps
@@ -162,6 +223,90 @@ def test_omp_argument_checks(dic):
         omp_recover(np.zeros(4), dic, n_targets=1)
     with pytest.raises(ValueError):
         omp_recover(np.zeros(dic.A.shape[0]), dic)
+
+
+# ----------------------------------------------------------------------
+# block OMP against the single-snapshot reference
+# ----------------------------------------------------------------------
+
+def _omp_reference(y, A, n_targets=None, residual_tol=None, max_iter=None):
+    """Single-snapshot OMP with A^H r per step; returns (support, coeffs,
+    residual norm), or raises NonConvergenceError."""
+    cap = n_targets if n_targets is not None else min(A.shape[0], 64)
+    if max_iter is not None:
+        cap = min(cap, max_iter)
+    support = []
+    coeffs = np.zeros(0, dtype=np.complex128)
+    resid = y.copy()
+    for _ in range(cap):
+        if n_targets is None and np.linalg.norm(resid) <= residual_tol:
+            break
+        corr = np.abs(A.conj().T @ resid)
+        if support:
+            corr[support] = -1.0
+        support.append(int(np.argmax(corr)))
+        sub = A[:, support]
+        coeffs, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        resid = y - sub @ coeffs
+    rnorm = float(np.linalg.norm(resid))
+    if n_targets is None and rnorm > residual_tol:
+        raise NonConvergenceError(f"residual {rnorm:.3e} above {residual_tol:.3e}")
+    return tuple(support), coeffs, rnorm
+
+
+@given(
+    _SMALL_CONFIGS,
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.sampled_from(["n_targets", "residual_tol", "residual_tol_capped"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=90, deadline=None, derandomize=True)
+def test_block_omp_matches_single_reference(params, n_snapshots, n_sparse, mode, seed):
+    cfg = reference_config(**params)
+    rng = np.random.default_rng(seed)
+    dic = build_dictionary(random_selection_sequence(cfg, rng), cfg)
+    n_sparse = min(n_sparse, cfg.n1 // 2)
+    # one planted scene seen at a spread of noise levels, as over an SNR grid
+    b0 = np.zeros(cfg.n2, dtype=np.complex128)
+    b0[rng.choice(cfg.n2, size=n_sparse, replace=False)] = np.exp(2j * np.pi * rng.random(n_sparse))
+    noise = (rng.standard_normal(cfg.n1) + 1j * rng.standard_normal(cfg.n1)) / np.sqrt(2.0)
+    sigmas = np.logspace(-6, 0, n_snapshots)
+    Y = dic.A @ b0 + sigmas[:, None] * noise
+    if mode == "n_targets":
+        kwargs = dict(n_targets=n_sparse)
+    else:
+        # rows noisier than the middle one need more atoms than were planted
+        kwargs = dict(residual_tol=float(np.sqrt(cfg.n1) * sigmas[n_snapshots // 2]))
+        if mode == "residual_tol_capped":
+            kwargs["max_iter"] = n_sparse
+    try:
+        refs = [_omp_reference(y, dic.A, **kwargs) for y in Y]
+    except NonConvergenceError:
+        with pytest.raises(NonConvergenceError):
+            omp_recover(Y, dic, **kwargs)
+        return
+    scenes = omp_recover(Y, dic, **kwargs)
+    assert isinstance(scenes, list) and len(scenes) == n_snapshots
+    for sol, (support, coeffs, rnorm) in zip(scenes, refs):
+        assert sol.support == support
+        assert sol.iterations == len(support)
+        np.testing.assert_allclose(sol.coeffs, coeffs, rtol=0, atol=1e-10)
+        assert sol.residual_norm == pytest.approx(rnorm, rel=1e-9, abs=1e-12)
+
+
+def test_omp_block_shapes(dic):
+    y, _ = _planted(dic, [3, 40], np.array([1.0, 0.5j]))
+    single = omp_recover(y, dic, n_targets=2)
+    block = omp_recover(y[None, :], dic, n_targets=2)
+    assert isinstance(block, list) and len(block) == 1
+    assert block[0].support == single.support
+    np.testing.assert_array_equal(block[0].coeffs, single.coeffs)
+    assert omp_recover(np.zeros((0, dic.A.shape[0])), dic, n_targets=2) == []
+    with pytest.raises(ValueError, match="2-D block"):
+        omp_recover(y.reshape(1, 1, -1), dic, n_targets=2)
+    with pytest.raises(ValueError, match="snapshot length"):
+        omp_recover(np.zeros((3, 5)), dic, n_targets=2)
 
 
 def test_bp_equality_recovery(dic):
@@ -287,15 +432,6 @@ def _bp_reference(y, A, eps=0.0, rho=1.0, max_iter=10000, tol=1e-6,
                 adapts_left -= 1
     keep = np.abs(z) > support_threshold * max(np.abs(z).max(), 1e-300)
     return z, it, converged, tuple(int(i) for i in np.nonzero(keep)[0])
-
-
-_SMALL_CONFIGS = st.fixed_dictionaries({
-    "N": st.sampled_from([4, 8]),
-    "M": st.sampled_from([2, 4]),
-    "K": st.integers(1, 2),
-    "P": st.sampled_from([2, 4]),
-    "Q_r": st.integers(1, 2),
-})
 
 
 @given(_SMALL_CONFIGS, st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
