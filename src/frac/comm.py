@@ -17,6 +17,20 @@ mutual-information estimator depend on y only through u and symbol energies.
 This removes the Q_c U sample dimension from the inner loop (and, for the
 rate estimator, cancels the ||w||^2 term analytically, which otherwise
 dominates the estimator variance at large U).
+
+The Monte Carlo curves never form Psi.  Gamma is a quadratic form of the
+channel taps in the waveform correlations
+
+    R[m, i, m', i'] = sum_{u < U} conj(s_m[u - i]) s_m'[u - i']
+
+(samples before u = i are zero), which do not depend on the channel:
+
+    Gamma[(m, p), (m', p')] = sum_q sum_{i, i'} conj(h[p, q, i]) h[p', q, i'] R[m, i, m', i'].
+
+R is built once per curve, so a channel costs M^2 n_taps P Q_c (n_taps + P)
+products, independent of U, instead of a Q_c U x M P matrix.  Psi itself is
+only built for the single-shot path (:func:`transmit`, :func:`ml_decode`,
+:func:`sod_decode`).
 """
 
 from __future__ import annotations
@@ -25,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.special import logsumexp
 
 from .config import SystemConfig
 from .im_codec import MappingTable, PulseSelection, encode
@@ -51,6 +63,8 @@ __all__ = [
 
 # symbol enumeration is dense in 2**n_total_bits; refuse absurd alphabets
 MAX_ALPHABET_BITS = 16
+# decoders ber_curve can run
+DECODERS = ("ml", "sod")
 
 
 @dataclass(frozen=True)
@@ -115,18 +129,43 @@ def sigma_for_comm_snr(cfg: SystemConfig, snr_db: float) -> float:
     return math.sqrt(cfg.K * cfg.Q_c * cfg.U * channel_tap_power(cfg) / lin)
 
 
+def _shifted_waveforms(cfg: SystemConfig, waveforms: np.ndarray | None = None) -> np.ndarray:
+    """Zero-filled delayed chirps X[m, i, u] = s_m[u - i] (0 for u < i), shape (M, n_taps, U)."""
+    S = baseband_waveforms(cfg) if waveforms is None else waveforms
+    X = np.zeros((cfg.M, cfg.n_taps, cfg.U), dtype=np.complex128)
+    for i in range(min(cfg.n_taps, cfg.U)):
+        X[:, i, i:] = S[:, : cfg.U - i]
+    return X
+
+
 def build_psi(
     h: np.ndarray, cfg: SystemConfig, waveforms: np.ndarray | None = None
 ) -> np.ndarray:
     """Observation matrix (Q_c U, M P); column m*P + p is h[p, q_c] * s_m stacked over q_c."""
     if h.shape != (cfg.P, cfg.Q_c, cfg.n_taps):
         raise ValueError(f"channel shape {h.shape} != {(cfg.P, cfg.Q_c, cfg.n_taps)}")
-    S = baseband_waveforms(cfg) if waveforms is None else waveforms
-    out = fftconvolve(S[:, None, None, :], h[None, :, :, :], axes=-1)[..., : cfg.U]
-    # (m, p, q_c, u) -> rows (q_c, u), cols (m, p)
+    X = _shifted_waveforms(cfg, waveforms)
+    out = np.tensordot(h, X, axes=([2], [1]))              # (p, q_c, m, u)
+    # (p, q_c, m, u) -> rows (q_c, u), cols (m, p)
     return np.ascontiguousarray(
-        out.transpose(2, 3, 0, 1).reshape(cfg.Q_c * cfg.U, cfg.M * cfg.P)
+        out.transpose(1, 3, 2, 0).reshape(cfg.Q_c * cfg.U, cfg.M * cfg.P)
     )
+
+
+def _waveform_correlations(cfg: SystemConfig) -> np.ndarray:
+    """R[(m, i), (m', i')] = sum_u conj(s_m[u - i]) s_m'[u - i'], shape (M n_taps, M n_taps)."""
+    X = _shifted_waveforms(cfg).reshape(cfg.M * cfg.n_taps, cfg.U)
+    return X.conj() @ X.T
+
+
+def _channel_gram(h: np.ndarray, corr: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Gamma = Psi^H Psi of channel ``h`` from the waveform correlations ``corr``."""
+    M, P, Q, T = cfg.M, cfg.P, cfg.Q_c, cfg.n_taps
+    # Z[m, i, m', p', q] = sum_i' R[m, i, m', i'] h[p', q, i']
+    Z = corr.reshape(M * T * M, T) @ h.transpose(2, 0, 1).reshape(T, P * Q)
+    # per m: Gamma[m, p, (m', p')] = sum_{q, i} conj(h[p, q, i]) Z[m, i, m', p', q]
+    Z = Z.reshape(M, T, M * P, Q).transpose(0, 3, 1, 2).reshape(M, Q * T, M * P)
+    return (h.conj().reshape(P, Q * T) @ Z).reshape(M * P, M * P)
 
 
 def selection_to_symbol(sel: PulseSelection, cfg: SystemConfig) -> np.ndarray:
@@ -222,14 +261,13 @@ def _decode_one(y, psi, cfg, symbols: SymbolSet, decoder: str) -> int:
 # Gram-domain Monte Carlo
 # ----------------------------------------------------------------------
 
-def _gram_factors(psi: np.ndarray):
-    """(Gamma, Cholesky factor, column norms) with a tiny PD jitter."""
-    gamma = psi.conj().T @ psi
+def _gram_factors(gamma: np.ndarray):
+    """(Cholesky factor, column norms) of Gamma, with a tiny PD jitter."""
     n = gamma.shape[0]
     jitter = 1e-12 * float(np.real(np.trace(gamma))) / max(n, 1)
     chol = np.linalg.cholesky(gamma + jitter * np.eye(n))
     colnorm = np.sqrt(np.real(np.diag(gamma)))
-    return gamma, chol, colnorm
+    return chol, colnorm
 
 
 def _symbol_gram(gamma: np.ndarray, symbols: SymbolSet):
@@ -238,14 +276,18 @@ def _symbol_gram(gamma: np.ndarray, symbols: SymbolSet):
     return GE, np.real(np.einsum("ij,ij->j", symbols.E.conj(), GE))
 
 
-def _draw_channel(cfg: SystemConfig, symbols: SymbolSet, draws: int, rng: np.random.Generator):
+def _draw_channel(
+    cfg: SystemConfig, symbols: SymbolSet, corr: np.ndarray, draws: int,
+    rng: np.random.Generator,
+):
     """One channel and its draws: (Gamma E, energies, column norms, t_idx, noise).
 
-    ``noise`` column d is chol @ z_d for a standard complex normal z_d, which
-    matches Psi^H w / sigma in distribution.
+    ``corr`` is :func:`_waveform_correlations` of ``cfg``.  ``noise`` column d
+    is chol @ z_d for a standard complex normal z_d, which matches
+    Psi^H w / sigma in distribution.
     """
-    psi = build_psi(sample_channel(cfg, rng), cfg)
-    gamma, chol, colnorm = _gram_factors(psi)
+    gamma = _channel_gram(sample_channel(cfg, rng), corr, cfg)
+    chol, colnorm = _gram_factors(gamma)
     t_idx = rng.integers(0, symbols.n_words, draws)
     noise_unit = (
         rng.standard_normal((gamma.shape[0], draws))
@@ -297,6 +339,12 @@ def _decide(
     return out
 
 
+def _check_counts(channels: int, draws: int) -> None:
+    for name, value in (("channels", channels), ("draws", draws)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def ber_curve(
     cfg: SystemConfig,
     snr_db_list,
@@ -310,38 +358,50 @@ def ber_curve(
     """Bit error rate by Monte Carlo over channels x draws per SNR point.
 
     Noise draws are shared across SNR points (scaled by sigma), so each curve
-    is monotone up to channel-sampling error.
+    is monotone up to channel-sampling error.  One decision call per channel
+    covers every SNR point.
     """
+    _check_counts(channels, draws)
+    for name in decoders:
+        if name not in DECODERS:
+            raise ValueError(
+                f"unknown decoder {name!r} in scheme {scheme_prefix}-{name}; "
+                f"expected one of {', '.join(DECODERS)}"
+            )
     symbols = enumerate_symbols(cfg, mapping)
     groups = _sod_groups(symbols)
+    corr = _waveform_correlations(cfg)
     snr_db_list = [float(s) for s in snr_db_list]
-    errs = {d: np.zeros(len(snr_db_list), dtype=np.int64) for d in decoders}
-    per_channel = {d: np.zeros((channels, len(snr_db_list))) for d in decoders}
+    sigmas = np.array([sigma_for_comm_snr(cfg, snr) for snr in snr_db_list])
+    n_snr = len(snr_db_list)
     nbits = symbols.n_bits
+    # bit errors per decoder, channel and SNR point
+    nerr = {d: np.zeros((channels, n_snr), dtype=np.int64) for d in decoders}
     for ch in range(channels):
         GE, q, colnorm, t_idx, noise = _draw_channel(
-            cfg, symbols, draws, np.random.default_rng([seed, 7001, ch])
+            cfg, symbols, corr, draws, np.random.default_rng([seed, 7001, ch])
         )
-        for si, snr in enumerate(snr_db_list):
-            u = GE[:, t_idx] + sigma_for_comm_snr(cfg, snr) * noise
-            dec = _decide(cfg, symbols, q, colnorm, u, decoders, groups)
-            for name, d_idx in dec.items():
-                nerr = int(np.sum(symbols.bits[t_idx] != symbols.bits[d_idx]))
-                errs[name][si] += nerr
-                per_channel[name][ch, si] = nerr / (draws * nbits)
+        # column si * draws + d is draw d at SNR point si
+        u = (GE[:, None, t_idx] + sigmas[None, :, None] * noise[:, None, :]).reshape(
+            GE.shape[0], n_snr * draws
+        )
+        sent = symbols.bits[t_idx]
+        for name, d_idx in _decide(cfg, symbols, q, colnorm, u, decoders, groups).items():
+            got = symbols.bits[d_idx.reshape(n_snr, draws)]
+            nerr[name][ch] = np.sum(got != sent[None], axis=(1, 2))
     out = []
-    total_bits = channels * draws * nbits
     for name in decoders:
+        per_channel = nerr[name] / (draws * nbits)
         for si, snr in enumerate(snr_db_list):
-            ber = errs[name][si] / total_bits
-            se = float(np.std(per_channel[name][:, si], ddof=1) / math.sqrt(channels)) if channels > 1 else 0.0
+            errs = int(nerr[name][:, si].sum())
+            se = float(np.std(per_channel[:, si], ddof=1) / math.sqrt(channels)) if channels > 1 else 0.0
             out.append(
                 BerPoint(
                     scheme=f"{scheme_prefix}-{name}",
                     snr_db=snr,
                     messages=channels * draws,
-                    bit_errors=int(errs[name][si]),
-                    ber=float(ber),
+                    bit_errors=errs,
+                    ber=errs / (channels * draws * nbits),
                     stderr=se,
                 )
             )
@@ -364,23 +424,26 @@ def rate_curve(
     exactly 1, so the estimate never exceeds log2 |E| and needs no ||w||^2
     bookkeeping.
     """
+    _check_counts(channels, draws)
     symbols = enumerate_symbols(cfg, mapping)
+    corr = _waveform_correlations(cfg)
     snr_db_list = [float(s) for s in snr_db_list]
+    sigmas = np.array([sigma_for_comm_snr(cfg, snr) for snr in snr_db_list])[:, None, None]
     nE = symbols.n_words
     per_channel = np.zeros((channels, len(snr_db_list)))
     for ch in range(channels):
         GE, q, _, t_idx, noise = _draw_channel(
-            cfg, symbols, draws, np.random.default_rng([seed, 7101, ch])
+            cfg, symbols, corr, draws, np.random.default_rng([seed, 7101, ch])
         )
         S = symbols.E.conj().T @ GE                         # (nE, nE)
         d2 = q[:, None] + q[None, :] - 2.0 * np.real(S)     # pairwise ||Psi(ei-ej)||^2
-        proj = symbols.E.conj().T @ noise                   # (nE, draws), unit sigma
-        for si, snr in enumerate(snr_db_list):
-            sigma = sigma_for_comm_snr(cfg, snr)
-            rv = np.real(proj) * sigma
-            dt = d2[t_idx, :].T + 2.0 * (rv[t_idx, np.arange(draws)][None, :] - rv)
-            lse = logsumexp(-dt / (sigma * sigma), axis=0)
-            per_channel[ch, si] = float(np.mean(math.log2(nE) - lse / math.log(2.0)))
+        rv = np.real(symbols.E.conj().T @ noise) * sigmas   # (snr, nE, draws)
+        dt = d2[t_idx, :].T + 2.0 * (rv[:, t_idx, np.arange(draws)][:, None, :] - rv)
+        # log-sum-exp over the alphabet, every SNR point at once
+        a = -dt / (sigmas * sigmas)
+        peak = a.max(axis=1)
+        lse = np.log(np.exp(a - peak[:, None, :]).sum(axis=1)) + peak
+        per_channel[ch] = np.mean(math.log2(nE) - lse / math.log(2.0), axis=1)
     out = []
     for si, snr in enumerate(snr_db_list):
         se = float(np.std(per_channel[:, si], ddof=1) / math.sqrt(channels)) if channels > 1 else 0.0

@@ -470,27 +470,33 @@ def run_comm_ber(
     schemes=("frac-ml", "frac-sod", "psk64-ml"),
     seed: int = 0,
 ) -> list[comm.BerPoint]:
+    """BER of each scheme: ``frac-<decoder>`` or ``psk<order>-<decoder>``."""
+    frac_decoders, psk = [], []
+    for s in schemes:
+        name, _, dec = s.partition("-")
+        if name == "frac" and dec:
+            frac_decoders.append(dec)
+        elif name.startswith("psk") and name[3:].isdigit() and dec:
+            psk.append((name, int(name[3:]), dec))
+        else:
+            raise ValueError(
+                f"unknown BER scheme {s!r}; expected frac-<decoder> or psk<order>-<decoder>"
+            )
     out: list[comm.BerPoint] = []
-    frac_decoders = tuple(
-        s.split("-", 1)[1] for s in schemes if s.startswith("frac-")
-    )
     if frac_decoders:
         out.extend(
             comm.ber_curve(
                 cfg, snr_db_list, channels, draws,
-                decoders=frac_decoders, seed=seed, scheme_prefix="frac",
+                decoders=tuple(frac_decoders), seed=seed, scheme_prefix="frac",
             )
         )
-    for s in schemes:
-        if s.startswith("psk"):
-            name, dec = s.split("-", 1)
-            order = int(name[3:])
-            out.extend(
-                comm.ber_curve(
-                    _psk_baseline(cfg, order), snr_db_list, channels, draws,
-                    decoders=(dec,), seed=seed, scheme_prefix=name,
-                )
+    for name, order, dec in psk:
+        out.extend(
+            comm.ber_curve(
+                _psk_baseline(cfg, order), snr_db_list, channels, draws,
+                decoders=(dec,), seed=seed, scheme_prefix=name,
             )
+        )
     return out
 
 
@@ -502,16 +508,15 @@ def run_comm_rate(
     schemes=("frac-j2", "frac-j4"),
     seed: int = 0,
 ) -> list[comm.RatePoint]:
+    """Rate of each scheme: ``frac-j<J>`` or ``psk<order>``."""
     out: list[comm.RatePoint] = []
     for s in schemes:
-        if s.startswith("frac-j"):
-            order = int(s.split("frac-j", 1)[1])
-            scfg = cfg.replace(J=order)
-        elif s.startswith("psk"):
-            order = int(s[3:])
-            scfg = _psk_baseline(cfg, order)
+        if s.startswith("frac-j") and s[6:].isdigit():
+            scfg = cfg.replace(J=int(s[6:]))
+        elif s.startswith("psk") and s[3:].isdigit():
+            scfg = _psk_baseline(cfg, int(s[3:]))
         else:
-            raise ValueError(f"unknown rate scheme {s!r}")
+            raise ValueError(f"unknown rate scheme {s!r}; expected frac-j<J> or psk<order>")
         out.extend(comm.rate_curve(scfg, snr_db_list, channels, draws, seed=seed, scheme=s))
     return out
 

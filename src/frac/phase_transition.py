@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .config import SystemConfig
 from .im_codec import random_selection_sequence
@@ -31,7 +29,6 @@ from .radar_recovery import bp_recover, build_dictionary
 __all__ = [
     "PtSolution",
     "pt_integral",
-    "pt_integral_quad",
     "measurement_count",
     "solve_threshold",
     "approx_threshold",
@@ -59,15 +56,8 @@ def pt_integral(beta: float) -> float:
     b = float(beta)
     if b < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    return 2.0 * math.exp(-b * b / 2.0) - math.sqrt(2.0 * math.pi) * b * erfc(b / math.sqrt(2.0))
-
-def pt_integral_quad(beta: float) -> float:
-    """Same tail integral by adaptive quadrature (cross-check path)."""
-    b = float(beta)
-    if b < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    val, _ = quad(lambda u: (u - b) ** 2 * u * math.exp(-u * u / 2.0), b, np.inf)
-    return val
+    return (2.0 * math.exp(-b * b / 2.0)
+            - math.sqrt(2.0 * math.pi) * b * math.erfc(b / math.sqrt(2.0)))
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:

@@ -285,6 +285,33 @@ def test_comm_rate_csv(tmp_path):
     assert float(rows[0]["rate_bits"]) == pytest.approx(4.0, abs=0.05)
 
 
+@pytest.mark.parametrize("schemes, message", [
+    ("frac-ML", "unknown decoder 'ML' in scheme frac-ML"),
+    ("frac-xyz", "unknown decoder 'xyz' in scheme frac-xyz"),
+    ("foo", "unknown BER scheme 'foo'"),
+    ("frac-ml,foo", "unknown BER scheme 'foo'"),
+])
+def test_comm_ber_unknown_scheme_exits_2(schemes, message, tmp_path, capsys):
+    out = tmp_path / "ber.csv"
+    assert cli.main(["comm-ber", "--snr", "12", "--channels", "2", "--draws", "10",
+                     "--schemes", schemes, "--out", str(out)] + COMM) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, schemes", [("comm-ber", "frac-ml"), ("comm-rate", "frac-j2")])
+@pytest.mark.parametrize("argv, message", [
+    (["--channels", "0", "--draws", "10"], "channels must be at least 1, got 0"),
+    (["--channels", "2", "--draws", "0"], "draws must be at least 1, got 0"),
+])
+def test_comm_bad_counts_exit_2(command, schemes, argv, message, tmp_path, capsys):
+    out = tmp_path / "comm.csv"
+    assert cli.main([command, "--snr", "12", "--schemes", schemes, "--out", str(out)]
+                    + argv + COMM) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # configuration plumbing
 # ----------------------------------------------------------------------
@@ -335,6 +362,16 @@ def test_nonconvergence_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli.harness, "run_recovery_map", boom)
     assert cli.main(["recovery-map", "--direct"]) == 3
     assert "solver stalled" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # the package runs on numpy alone; scipy is only a test reference
+    code = ("import sys, frac.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
+from scipy.special import logsumexp
 
 from frac.comm import (
     ber_curve,
@@ -20,7 +24,14 @@ from frac.comm import (
     symbol_to_selection,
     transmit,
 )
-from frac.comm import _decide, _gram_factors, _sod_groups, _symbol_gram
+from frac.comm import (
+    _channel_gram,
+    _decide,
+    _gram_factors,
+    _sod_groups,
+    _symbol_gram,
+    _waveform_correlations,
+)
 from frac.config import reference_config
 from frac.im_codec import encode, random_selection_sequence
 
@@ -64,8 +75,12 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
-def psi(cfg):
-    h = sample_channel(cfg, np.random.default_rng(100))
+def h(cfg):
+    return sample_channel(cfg, np.random.default_rng(100))
+
+
+@pytest.fixture(scope="module")
+def psi(cfg, h):
     return build_psi(h, cfg)
 
 
@@ -180,12 +195,15 @@ def test_noiseless_decoding_exhaustive(cfg, psi):
         assert sod_decode(y, psi, cfg, symbols) == idx
 
 
-def _compare_with_reference(cfg, psi, snr_db, draws, rng):
+def _compare_with_reference(cfg, h, snr_db, draws, rng):
     """Gram-domain batch and public decoders against the sample-domain
     reference on one noise realization; returns the count of draws whose
     detected carrier set lies outside the alphabet."""
     symbols = enumerate_symbols(cfg)
-    gamma, chol, colnorm = _gram_factors(psi)
+    psi = build_psi(h, cfg)
+    # the batch sees Gamma from the waveform correlations, as ber_curve does
+    gamma = _channel_gram(h, _waveform_correlations(cfg), cfg)
+    chol, colnorm = _gram_factors(gamma)
     GE, q = _symbol_gram(gamma, symbols)
     sigma = sigma_for_comm_snr(cfg, snr_db)
     t_idx = rng.integers(0, symbols.n_words, draws)
@@ -210,19 +228,19 @@ def _compare_with_reference(cfg, psi, snr_db, draws, rng):
     return outside
 
 
-def test_gram_batch_matches_direct_decoders(cfg, psi):
+def test_gram_batch_matches_direct_decoders(cfg, h):
     # feed the Gram-domain batch the exact noise realization of the
     # sample-domain reference; decisions must agree decision-by-decision, and
     # the public decoders (batches of one) must agree too
-    _compare_with_reference(cfg, psi, 6.0, 40, np.random.default_rng(4))
+    _compare_with_reference(cfg, h, 6.0, 40, np.random.default_rng(4))
 
 
 def test_gram_batch_sod_falls_back_outside_alphabet():
     # C(6, 2) = 15 carrier pairs, 8 encodable: at low SNR some detected pairs
     # are outside the alphabet and SOD keeps the full-search decision
     cfg = small_config(M=6, K=2, P=4)
-    psi = build_psi(sample_channel(cfg, np.random.default_rng(9)), cfg)
-    outside = _compare_with_reference(cfg, psi, -4.0, 60, np.random.default_rng(10))
+    h = sample_channel(cfg, np.random.default_rng(9))
+    outside = _compare_with_reference(cfg, h, -4.0, 60, np.random.default_rng(10))
     assert outside > 0
 
 
@@ -262,3 +280,169 @@ def test_rate_curve_deterministic(cfg):
     a = rate_curve(cfg, [5.0], channels=2, draws=20, seed=8)
     b = rate_curve(cfg, [5.0], channels=2, draws=20, seed=8)
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# channel Gram from waveform correlations
+# ----------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    M=st.integers(1, 6),
+    P=st.integers(1, 4),
+    Q_c=st.integers(1, 3),
+    U=st.integers(1, 40),
+    n_taps=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+)
+@example(M=1, P=1, Q_c=1, U=1, n_taps=1, seed=0)       # PSK baseline, one sample
+@example(M=1, P=1, Q_c=4, U=5, n_taps=8, seed=1)       # PSK baseline, taps past the symbol
+@example(M=3, P=2, Q_c=2, U=1, n_taps=4, seed=2)       # one sample, several taps
+def test_channel_gram_matches_psi_gram(M, P, Q_c, U, n_taps, seed):
+    # U comm samples per 50 us symbol
+    cfg = reference_config(M=M, K=1, P=P, Q_c=Q_c, n_taps=n_taps, F_s_comm=(U + 0.5) / 50e-6)
+    assert cfg.U == U
+    h = sample_channel(cfg, np.random.default_rng(seed))
+    psi = build_psi(h, cfg)
+    S = baseband_waveforms(cfg)
+    for m in range(M):
+        for p in range(P):
+            for qc in range(Q_c):
+                np.testing.assert_allclose(psi[qc * U:(qc + 1) * U, m * P + p],
+                                           np.convolve(S[m], h[p, qc])[:U], atol=1e-12)
+    want = psi.conj().T @ psi
+    got = _channel_gram(h, _waveform_correlations(cfg), cfg)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# The Monte Carlo bodies that built Psi for every channel, kept as the
+# reference the Gram-from-correlations path must reproduce.
+
+def reference_psi(h, cfg):
+    S = baseband_waveforms(cfg)
+    out = fftconvolve(S[:, None, None, :], h[None, :, :, :], axes=-1)[..., : cfg.U]
+    return np.ascontiguousarray(
+        out.transpose(2, 3, 0, 1).reshape(cfg.Q_c * cfg.U, cfg.M * cfg.P)
+    )
+
+
+def reference_draw_channel(cfg, symbols, draws, rng):
+    psi = reference_psi(sample_channel(cfg, rng), cfg)
+    gamma = psi.conj().T @ psi
+    chol, colnorm = _gram_factors(gamma)
+    t_idx = rng.integers(0, symbols.n_words, draws)
+    noise_unit = (
+        rng.standard_normal((gamma.shape[0], draws))
+        + 1j * rng.standard_normal((gamma.shape[0], draws))
+    ) / math.sqrt(2.0)
+    GE, q = _symbol_gram(gamma, symbols)
+    return GE, q, colnorm, t_idx, chol @ noise_unit
+
+
+def reference_ber_curve(cfg, snr_db_list, channels, draws, decoders, seed):
+    """(scheme, snr, bit errors, stderr) per point, one decision call per SNR."""
+    symbols = enumerate_symbols(cfg)
+    groups = _sod_groups(symbols)
+    errs = {d: np.zeros(len(snr_db_list), dtype=np.int64) for d in decoders}
+    per_channel = {d: np.zeros((channels, len(snr_db_list))) for d in decoders}
+    nbits = symbols.n_bits
+    for ch in range(channels):
+        GE, q, colnorm, t_idx, noise = reference_draw_channel(
+            cfg, symbols, draws, np.random.default_rng([seed, 7001, ch])
+        )
+        for si, snr in enumerate(snr_db_list):
+            u = GE[:, t_idx] + sigma_for_comm_snr(cfg, snr) * noise
+            dec = _decide(cfg, symbols, q, colnorm, u, decoders, groups)
+            for name, d_idx in dec.items():
+                nerr = int(np.sum(symbols.bits[t_idx] != symbols.bits[d_idx]))
+                errs[name][si] += nerr
+                per_channel[name][ch, si] = nerr / (draws * nbits)
+    return [
+        (name, snr, int(errs[name][si]),
+         float(np.std(per_channel[name][:, si], ddof=1) / math.sqrt(channels)))
+        for name in decoders for si, snr in enumerate(snr_db_list)
+    ]
+
+
+def reference_rate_curve(cfg, snr_db_list, channels, draws, seed):
+    """(snr, rate, stderr) per point, one scipy log-sum-exp per SNR."""
+    symbols = enumerate_symbols(cfg)
+    nE = symbols.n_words
+    per_channel = np.zeros((channels, len(snr_db_list)))
+    for ch in range(channels):
+        GE, q, _, t_idx, noise = reference_draw_channel(
+            cfg, symbols, draws, np.random.default_rng([seed, 7101, ch])
+        )
+        S = symbols.E.conj().T @ GE
+        d2 = q[:, None] + q[None, :] - 2.0 * np.real(S)
+        proj = symbols.E.conj().T @ noise
+        for si, snr in enumerate(snr_db_list):
+            sigma = sigma_for_comm_snr(cfg, snr)
+            rv = np.real(proj) * sigma
+            dt = d2[t_idx, :].T + 2.0 * (rv[t_idx, np.arange(draws)][None, :] - rv)
+            lse = logsumexp(-dt / (sigma * sigma), axis=0)
+            per_channel[ch, si] = float(np.mean(math.log2(nE) - lse / math.log(2.0)))
+    return [
+        (snr, float(np.mean(per_channel[:, si])),
+         float(np.std(per_channel[:, si], ddof=1) / math.sqrt(channels)))
+        for si, snr in enumerate(snr_db_list)
+    ]
+
+
+@pytest.mark.parametrize("overrides, decoders, seed", [
+    ({}, ("ml", "sod"), 11),
+    (dict(M=6, K=2, P=4), ("sod", "ml"), 12),               # SOD falls back
+    (dict(M=1, K=1, P=1, J=16), ("ml",), 13),               # PSK baseline
+    (dict(n_taps=12, Q_c=1), ("ml", "sod"), 14),
+])
+def test_ber_curve_matches_psi_reference(overrides, decoders, seed):
+    cfg = small_config(**overrides)
+    snrs = [-4.0, 0.0, 4.0, 8.0, 12.0]
+    pts = ber_curve(cfg, snrs, channels=5, draws=40, decoders=decoders, seed=seed)
+    want = reference_ber_curve(cfg, snrs, 5, 40, decoders, seed)
+    assert [(p.scheme, p.snr_db, p.bit_errors) for p in pts] == [
+        (f"frac-{name}", snr, n) for name, snr, n, _ in want
+    ]
+    assert sum(n for *_, n, _ in want) > 0
+    np.testing.assert_allclose([p.stderr for p in pts], [se for *_, se in want],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("overrides, seed", [
+    ({}, 21),
+    (dict(J=4), 22),
+    (dict(M=1, K=1, P=1, J=8), 23),
+])
+def test_rate_curve_matches_psi_reference(overrides, seed):
+    cfg = small_config(**overrides)
+    snrs = [-10.0, 0.0, 10.0]
+    pts = rate_curve(cfg, snrs, channels=4, draws=30, seed=seed)
+    want = reference_rate_curve(cfg, snrs, 4, 30, seed)
+    assert [p.snr_db for p in pts] == [snr for snr, _, _ in want]
+    np.testing.assert_allclose([p.rate_bits for p in pts], [r for _, r, _ in want],
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose([p.stderr for p in pts], [se for *_, se in want],
+                               rtol=1e-9, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# bad arguments
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("decoders", [("ML",), ("ml", "xyz"), ("",)])
+def test_ber_curve_rejects_unknown_decoder(cfg, decoders):
+    with pytest.raises(ValueError, match="unknown decoder"):
+        ber_curve(cfg, [0.0], channels=1, draws=2, decoders=decoders)
+
+
+@pytest.mark.parametrize("curve", [ber_curve, rate_curve])
+@pytest.mark.parametrize("channels, draws, message", [
+    (0, 5, "channels must be at least 1, got 0"),
+    (-2, 5, "channels must be at least 1, got -2"),
+    (2, 0, "draws must be at least 1, got 0"),
+    (2, -1, "draws must be at least 1, got -1"),
+])
+def test_curves_reject_nonpositive_counts(cfg, curve, channels, draws, message):
+    with pytest.raises(ValueError, match=message):
+        curve(cfg, [0.0], channels=channels, draws=draws)

@@ -367,6 +367,21 @@ def test_run_comm_rate_schemes():
         run_comm_rate(cfg, [0.0], channels=1, draws=2, schemes=("huh",))
 
 
+@pytest.mark.parametrize("schemes", [
+    ("frac-ML",), ("frac-xyz",), ("foo",), ("frac-ml", "foo"), ("psk64",), ("pskx-ml",),
+    ("frac",), ("psk64-sd",),
+])
+def test_run_comm_ber_rejects_unknown_scheme(schemes):
+    with pytest.raises(ValueError, match="unknown"):
+        run_comm_ber(tiny_comm(), [0.0], channels=1, draws=2, schemes=schemes)
+
+
+@pytest.mark.parametrize("schemes", [("frac-jx",), ("psk",), ("frac-j",)])
+def test_run_comm_rate_rejects_unknown_scheme(schemes):
+    with pytest.raises(ValueError, match="unknown rate scheme"):
+        run_comm_rate(tiny_comm(), [0.0], channels=1, draws=2, schemes=schemes)
+
+
 # ----------------------------------------------------------------------
 # reports
 # ----------------------------------------------------------------------

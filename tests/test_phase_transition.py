@@ -1,8 +1,11 @@
 """Measurement-count theory oracles and a small empirical smoke check."""
 
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from frac.config import reference_config
 from frac.harness import run_phase_transition_empirical
@@ -12,7 +15,6 @@ from frac.phase_transition import (
     crossing,
     measurement_count,
     pt_integral,
-    pt_integral_quad,
     recovery_trial,
     solve_threshold,
 )
@@ -29,7 +31,9 @@ def test_pt_integral_endpoints():
 
 def test_pt_integral_matches_quadrature():
     for beta in np.linspace(0.0, 6.0, 25):
-        assert pt_integral(beta) == pytest.approx(pt_integral_quad(beta), abs=1e-10)
+        b = float(beta)
+        want, _ = quad(lambda u: (u - b) ** 2 * u * math.exp(-u * u / 2.0), b, np.inf)
+        assert pt_integral(b) == pytest.approx(want, abs=1e-10)
 
 
 def test_pt_integral_decreasing():
