@@ -68,6 +68,14 @@ def _load_config(args: argparse.Namespace) -> SystemConfig:
     return cfg
 
 
+def _grid(flag: str, text: str) -> list[float]:
+    """A range-syntax flag value; a bad grid is an error naming the flag."""
+    try:
+        return parse_range(text)
+    except ValueError as e:
+        raise ConfigError(f"{flag}: {e}") from None
+
+
 def _write_csv(args, cfg: SystemConfig, fieldnames: list[str], rows: list[dict],
                comments: list[str] | None = None) -> None:
     buf = io.StringIO()
@@ -128,6 +136,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_ambiguity(args) -> int:
     cfg = _load_config(args)
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
+    if args.mc < 0:
+        raise ConfigError(f"--mc must be nonnegative, got {args.mc}")
     rows = harness.run_ambiguity(
         cfg, axis=args.axis, points=args.points, extent=args.extent,
         mc_cpis=args.mc, seed=cfg.seed,
@@ -156,8 +168,8 @@ def _cmd_phase_transition(args) -> int:
     summary = {}
     for name, vcfg in variants:
         theory = harness.phase_transition.solve_threshold(vcfg.n1, vcfg.n2)
-        if args.l_values:
-            l_values = [int(x) for x in parse_range(args.l_values)]
+        if args.l_values is not None:
+            l_values = [int(x) for x in _grid("--l-values", args.l_values)]
         else:
             hi = max(3, int(math.ceil(theory.l_star * 2.0)))
             l_values = list(range(1, hi + 1))
@@ -180,7 +192,7 @@ def _cmd_phase_transition(args) -> int:
 def _cmd_hit_rate(args) -> int:
     cfg = _load_config(args)
     points = harness.run_hit_rate(
-        cfg, parse_range(args.snr), trials=args.trials, seed=cfg.seed,
+        cfg, _grid("--snr", args.snr), trials=args.trials, seed=cfg.seed,
         scene_mode=args.scene, n_targets=args.n_targets, solver=args.solver,
         workers=args.workers,
     )
@@ -236,7 +248,7 @@ def _cmd_comm_ber(args) -> int:
     cfg = _load_config(args)
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     points = harness.run_comm_ber(
-        cfg, parse_range(args.snr), channels=args.channels, draws=args.draws,
+        cfg, _grid("--snr", args.snr), channels=args.channels, draws=args.draws,
         schemes=schemes, seed=cfg.seed,
     )
     rows = [dataclasses.asdict(p) for p in points]
@@ -249,7 +261,7 @@ def _cmd_comm_rate(args) -> int:
     cfg = _load_config(args)
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     points = harness.run_comm_rate(
-        cfg, parse_range(args.snr), channels=args.channels, draws=args.draws,
+        cfg, _grid("--snr", args.snr), channels=args.channels, draws=args.draws,
         schemes=schemes, seed=cfg.seed,
     )
     rows = [dataclasses.asdict(p) for p in points]

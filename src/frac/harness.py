@@ -8,8 +8,6 @@ experiments, so results do not depend on worker count or chunking.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,20 +69,30 @@ class HitRatePoint:
 
 
 def parse_range(text: str) -> list[float]:
-    """SNR grids: 'start:step:stop' (inclusive stop) or a comma list."""
+    """SNR grids: 'start:step:stop' (inclusive stop) or a comma list.
+
+    The grid must be non-empty and every value finite.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range syntax is start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"range bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"range step must be positive, got {step}")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         if n < 1:
             raise ValueError(f"empty range {text!r}")
         return [start + i * step for i in range(n)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    values = [float(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"empty grid {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    return values
 
 
 def parse_variants(cfg: SystemConfig, text: str) -> list[tuple[str, SystemConfig]]:
@@ -265,10 +273,14 @@ def _map_trials(fn, jobs: list, workers: int) -> list:
     """``fn`` over every job: inline for one worker, else in one process pool.
 
     Workers are spawned, not forked, since the BLAS library may already run
-    threads in this process.
+    threads in this process.  The pool modules are imported only here, so a
+    one-worker run never loads them.
     """
     if workers <= 1 or len(jobs) == 1:
         return [fn(job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
         return list(pool.map(fn, jobs))
@@ -356,6 +368,10 @@ def run_ambiguity(
 ) -> list[dict]:
     """Expected ambiguity cut (and optional Monte Carlo mean) along one axis
     or over a two-axis plane, in normalized frequency offsets."""
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
+    if mc_cpis < 0:
+        raise ValueError(f"mc_cpis must be nonnegative, got {mc_cpis}")
     axes = {"range": 0, "velocity": 1, "angle": 2}
     offs = np.linspace(-extent / 2.0, extent / 2.0, points)
     if axis in axes:
@@ -462,6 +478,18 @@ def _psk_baseline(cfg: SystemConfig, order: int) -> SystemConfig:
     return cfg.replace(M=1, P=1, K=1, J=order)
 
 
+def _check_schemes(schemes) -> None:
+    """Reject an empty or repeated scheme list: it would run a curve twice
+    or write a table with no rows."""
+    if not schemes:
+        raise ValueError("the scheme list is empty")
+    seen = set()
+    for s in schemes:
+        if s in seen:
+            raise ValueError(f"scheme {s!r} is repeated")
+        seen.add(s)
+
+
 def run_comm_ber(
     cfg: SystemConfig,
     snr_db_list,
@@ -471,6 +499,7 @@ def run_comm_ber(
     seed: int = 0,
 ) -> list[comm.BerPoint]:
     """BER of each scheme: ``frac-<decoder>`` or ``psk<order>-<decoder>``."""
+    _check_schemes(schemes)
     frac_decoders, psk = [], []
     for s in schemes:
         name, _, dec = s.partition("-")
@@ -509,6 +538,7 @@ def run_comm_rate(
     seed: int = 0,
 ) -> list[comm.RatePoint]:
     """Rate of each scheme: ``frac-j<J>`` or ``psk<order>``."""
+    _check_schemes(schemes)
     out: list[comm.RatePoint] = []
     for s in schemes:
         if s.startswith("frac-j") and s[6:].isdigit():

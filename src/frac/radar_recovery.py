@@ -23,6 +23,14 @@ support, refit and stopping rule, so a block gives the scenes its rows
 would give one at a time.  The ADMM linear solve uses the inverse of the
 small row-space matrix (I + A A^H) via the matrix-inversion identity, so the
 per-iteration cost is two dictionary products.
+
+An equality BP solve can stop before its residual tolerance when the caller
+gives an l1 bound: every 10th iteration it tries Fuchs's certificate of
+optimality (IEEE T-IT 2004) on the thresholded support of the iterate, a
+dual vector lam with A_S^H lam = sgn(b_S) and |a_j^H lam| < 1 off S, and
+tests whether a feasible point already beats the bound.  Every solver
+result says why it stopped (``SparseScene.stop``): ``"tol"``, ``"optimal"``,
+``"bound"``, ``"cap"`` or ``"empty"``.
 """
 
 from __future__ import annotations
@@ -89,14 +97,24 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class SparseScene:
-    """Solver output: support (flat column indices) and complex gains."""
+    """Solver output: support (flat column indices) and complex gains.
+
+    ``stop`` says why the solver stopped: ``"tol"`` (its stopping rule was
+    met), ``"optimal"`` or ``"bound"`` (a certified exit of
+    :func:`bp_recover`), ``"cap"`` (the iteration cap was hit first) or
+    ``"empty"`` (b = 0 is optimal, nothing was iterated).
+    """
 
     support: tuple[int, ...]
     coeffs: np.ndarray
     residual_norm: float
     n_columns: int
     iterations: int
-    converged: bool = True
+    stop: str = "tol"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "cap"
 
     def dense(self) -> np.ndarray:
         b = np.zeros(self.n_columns, dtype=np.complex128)
@@ -236,6 +254,12 @@ def default_bp_eps(cfg: SystemConfig, sigma_r: float) -> float:
     return float(sigma_r * (math.sqrt(cfg.n1) + 2.0))
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, as ``np.linalg.norm`` computes it."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def bp_recover(
     y: np.ndarray,
     dic: Dictionary,
@@ -245,21 +269,42 @@ def bp_recover(
     tol: float = 1e-6,
     support_threshold: float = 1e-3,
     on_limit: str = "raise",
+    l1_bound: float | None = None,
 ) -> SparseScene:
     """Basis pursuit min ||b||_1 s.t. ||A b - y||_2 <= eps, via ADMM.
 
     Splitting: b = z carries the l1 term, s = A b - y lives in the l2 ball of
-    radius eps (eps = 0 reproduces the equality-constrained program).  The
-    b-update solves (I + A^H A) b = zu + A^H c through the matrix-inversion
-    identity with G = A A^H and W = (I + G)^-1, both row-dimension square
-    and computed once per call: w = A zu + G c gives b = zu + A^H (c - W w)
-    and A b = W w, so an iteration costs two dictionary products.  W is
-    penalty-free, so the usual residual-balancing penalty updates cost
-    nothing.  When ||y|| <= eps, b = 0 is feasible and optimal and is returned
-    without iterating.  When the residuals have not met ``tol`` after
-    ``max_iter`` sweeps, raises :class:`NonConvergenceError`
-    (``on_limit="raise"``) or returns the last iterate with ``converged``
-    false (``on_limit="return"``).
+    radius eps (eps = 0 reproduces the equality-constrained program, and s
+    stays zero).  The b-update solves (I + A^H A) b = zu + A^H c through the
+    matrix-inversion identity with G = A A^H and W = (I + G)^-1, both
+    row-dimension square and computed once per call: w = A zu + G c gives
+    b = zu + A^H (c - W w) and A b = W w, so an iteration costs two
+    dictionary products.  W is penalty-free, so the usual residual-balancing
+    penalty updates cost nothing.  When ||y|| <= eps, b = 0 is feasible and
+    optimal and is returned without iterating (stop ``"empty"``).  When the
+    residuals meet ``tol`` the solve stops with ``"tol"``.  When they have
+    not met it after ``max_iter`` sweeps, raises :class:`NonConvergenceError`
+    (``on_limit="raise"``) or returns the last iterate with stop ``"cap"``
+    (``on_limit="return"``).
+
+    ``l1_bound`` (equality program only) turns on two certified exits,
+    tried every 10th iteration:
+
+    - ``"optimal"``: S is the thresholded support of z (at most n1 columns),
+      b_S the least-squares fit on A_S.  When A_S has full column rank,
+      A_S b_S = y to 1e-9 max(1, ||y||), every |b_S| entry clears
+      ``support_threshold`` max|b_S|, and the ADMM dual estimate -rho u2,
+      moved onto the affine set A_S^H lam = sgn(b_S) by the minimum-norm
+      correction, has |a_j^H lam| < 1 off S, then b_S is the unique
+      basis-pursuit solution (Fuchs, "On sparse representations in
+      arbitrary redundant bases", IEEE T-IT 2004) and is returned.
+    - ``"bound"``: the feasible point b_f = z + A^H G^+ (y - A z) has
+      ||b_f||_1 < ``l1_bound``, so the minimum lies below the bound; b_f is
+      returned.  A caller passes the l1 norm of a candidate, less a margin,
+      to learn early that the candidate is not the minimizer.
+
+    Without ``l1_bound`` the iterates, iteration count and result are those
+    of the plain ADMM solve.
     """
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
@@ -267,56 +312,95 @@ def bp_recover(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if on_limit not in ("raise", "return"):
         raise ValueError(f"on_limit must be 'raise' or 'return', got {on_limit!r}")
+    if l1_bound is not None and eps > 0:
+        raise ValueError(f"l1_bound needs the equality program (eps = 0), got eps = {eps}")
     A = dic.A
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"snapshot length {y.shape[0]} != dictionary rows {A.shape[0]}")
     n_rows, n_cols = A.shape
-    y_norm = float(np.linalg.norm(y))
-    if y_norm <= eps:
+    y_norm = _norm(y)
+
+    def scene(support, coeffs, residual_norm, iterations, stop):
         return SparseScene(
-            support=(),
-            coeffs=np.zeros(0, dtype=np.complex128),
-            residual_norm=y_norm,
+            support=tuple(int(i) for i in support),
+            coeffs=np.asarray(coeffs, dtype=np.complex128),
+            residual_norm=residual_norm,
             n_columns=n_cols,
-            iterations=0,
+            iterations=iterations,
+            stop=stop,
         )
+
+    def thresholded(x):
+        mag = np.abs(x)
+        return np.flatnonzero(mag > support_threshold * max(mag.max(), 1e-300))
+
+    if y_norm <= eps:
+        return scene((), (), y_norm, 0, "empty")
     AH = np.ascontiguousarray(A.conj().T)
     G = A @ AH
     W = np.linalg.inv(np.eye(n_rows) + G)
+    if l1_bound is not None:
+        G_pinv = np.linalg.pinv(G, hermitian=True)
 
     z = np.zeros(n_cols, dtype=np.complex128)
     s = np.zeros(n_rows, dtype=np.complex128)
     u1 = np.zeros(n_cols, dtype=np.complex128)
     u2 = np.zeros(n_rows, dtype=np.complex128)
     y_scale = max(1.0, y_norm)
-    converged = False
+    fit_tol = 1e-9 * y_scale
+    s_step = 0.0
+    stop = "cap"
     adapts_left = 30
     for it in range(1, max_iter + 1):
         zu = z - u1
-        c = y + s - u2
-        w = A @ zu + G @ c
-        Ab = W @ w
+        c = y + s - u2 if eps > 0 else y - u2
+        Ab = W @ (A @ zu + G @ c)
         b = zu + AH @ (c - Ab)
-        z_prev, s_prev = z, s
         v = b + u1
-        mag = np.abs(v)
-        thresh = 1.0 / rho
-        z = np.where(mag > thresh, (1.0 - thresh / np.maximum(mag, 1e-300)) * v, 0.0)
-        w = Ab - y + u2
-        wn = float(np.linalg.norm(w))
-        s = w if wn <= eps else (eps / wn) * w
+        # soft threshold: shrink v by 1/rho in modulus, entries below go to 0
+        shrink = 1.0 - (1.0 / rho) / np.maximum(np.abs(v), 1e-300)
+        np.maximum(shrink, 0.0, out=shrink)
+        z_prev, z = z, shrink * v
         r1 = b - z
-        r2 = Ab - y - s
-        u1 = u1 + r1
-        u2 = u2 + r2
-        prim = max(float(np.linalg.norm(r1)), float(np.linalg.norm(r2)))
-        dual = rho * max(
-            float(np.linalg.norm(z - z_prev)), float(np.linalg.norm(s - s_prev))
-        )
+        r2 = Ab - y
+        if eps > 0:
+            w = r2 + u2
+            wn = _norm(w)
+            s_prev, s = s, w if wn <= eps else (eps / wn) * w
+            r2 -= s
+            s_step = _norm(s - s_prev)
+        u1 += r1
+        u2 += r2
+        prim = max(_norm(r1), _norm(r2))
+        dual = rho * max(_norm(z - z_prev), s_step)
         if prim <= tol * y_scale and dual <= tol * y_scale:
-            converged = True
+            stop = "tol"
             break
+        if l1_bound is not None and it % 10 == 0:
+            support = thresholded(z)
+            if 0 < support.size <= n_rows:
+                A_S, AH_S = A[:, support], AH[support]
+                b_S, _, rank, _ = np.linalg.lstsq(A_S, y, rcond=None)
+                fit = _norm(A_S @ b_S - y)
+                mag = np.abs(b_S)
+                # every fitted entry must clear the support threshold: a
+                # vanishing one has no sign to certify and is no support
+                if (rank == support.size and fit <= fit_tol
+                        and mag.min() > support_threshold * mag.max()):
+                    # -rho u2 is the ADMM estimate of the equality dual; the
+                    # correction is the least-norm step onto A_S^H lam = sgn(b_S)
+                    lam = -rho * u2
+                    gap = b_S / mag - AH_S @ lam
+                    lam += A_S @ np.linalg.solve(AH_S @ A_S, gap)
+                    corr = np.abs(AH @ lam)
+                    corr[support] = 0.0
+                    if corr.max() < 1.0:
+                        return scene(support, b_S, fit, it, "optimal")
+            b_f = z + AH @ (G_pinv @ (y - A @ z))
+            if np.abs(b_f).sum() < l1_bound:
+                keep = thresholded(b_f)
+                return scene(keep, b_f[keep], _norm(A @ b_f - y), it, "bound")
         # residual balancing: grow/shrink the penalty, rescale scaled duals.
         # The update count is capped so the penalty is eventually constant,
         # which is what the fixed-penalty convergence guarantee needs; an
@@ -332,21 +416,13 @@ def bp_recover(
                 u1 *= 2.0
                 u2 *= 2.0
                 adapts_left -= 1
-    if not converged and on_limit == "raise":
+    if stop == "cap" and on_limit == "raise":
         raise NonConvergenceError(
             f"ADMM basis pursuit: residuals ({prim:.3e}, {dual:.3e}) above "
             f"{tol:.1e} * {y_scale:.3g} after {max_iter} iterations"
         )
-    keep = np.abs(z) > support_threshold * max(np.abs(z).max(), 1e-300)
-    support = tuple(int(i) for i in np.nonzero(keep)[0])
-    return SparseScene(
-        support=support,
-        coeffs=z[list(support)],
-        residual_norm=float(np.linalg.norm(A @ z - y)),
-        n_columns=n_cols,
-        iterations=it,
-        converged=converged,
-    )
+    support = thresholded(z)
+    return scene(support, z[support], _norm(A @ z - y), it, stop)
 
 
 # ----------------------------------------------------------------------

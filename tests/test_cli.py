@@ -355,6 +355,38 @@ def test_bad_range_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["radar-hit-rate", "--snr", "", "--trials", "1"] + TINY, "--snr"),
+    (["radar-hit-rate", "--snr", "nan", "--trials", "1"] + TINY, "--snr"),
+    (["radar-hit-rate", "--snr", "0:inf:10", "--trials", "1"] + TINY, "--snr"),
+    (["comm-ber", "--snr", "", "--channels", "1", "--draws", "2"] + COMM, "--snr"),
+    (["comm-rate", "--snr", "1,nan", "--channels", "1", "--draws", "2"] + COMM, "--snr"),
+    (["phase-transition", "--mode", "empirical", "--variants", "base", "--l-values", "",
+      "--trials", "1"] + TINY, "--l-values"),
+    (["ambiguity", "--points", "0"], "--points"),
+    (["ambiguity", "--points", "5", "--mc", "-3"], "--mc"),
+])
+def test_bad_grid_or_count_exits_2_naming_the_flag(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"frac: error: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, schemes, message", [
+    ("comm-ber", "frac-ml,frac-ml", "scheme 'frac-ml' is repeated"),
+    ("comm-ber", ",", "scheme list is empty"),
+    ("comm-rate", "frac-j2,frac-j4,frac-j2", "scheme 'frac-j2' is repeated"),
+    ("comm-rate", " , ", "scheme list is empty"),
+])
+def test_comm_repeated_or_empty_schemes_exit_2(command, schemes, message, tmp_path, capsys):
+    out = tmp_path / "comm.csv"
+    assert cli.main([command, "--snr", "12", "--channels", "1", "--draws", "2",
+                     "--schemes", schemes, "--out", str(out)] + COMM) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonconvergence_exits_3(monkeypatch, capsys):
     def boom(*a, **k):
         raise NonConvergenceError("solver stalled")
@@ -368,6 +400,16 @@ def test_cli_import_loads_no_scipy():
     # the package runs on numpy alone; scipy is only a test reference
     code = ("import sys, frac.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool modules load only when a run asks for several workers
+    code = ("import sys, frac.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -55,6 +55,14 @@ def test_parse_range():
         parse_range("0:0:5")
 
 
+@pytest.mark.parametrize("text", [
+    "", " ", ",", " , ", "nan", "1,inf", "-inf", "0:nan:5", "nan:1:3", "0:1:inf", "-inf:1:0",
+])
+def test_parse_range_rejects_empty_and_nonfinite_grids(text):
+    with pytest.raises(ValueError, match="empty|finite"):
+        parse_range(text)
+
+
 def test_parse_variants():
     cfg = reference_config()
     out = parse_variants(cfg, "base, K=2 ,M=16")
@@ -305,6 +313,16 @@ def test_run_ambiguity_plane_with_mc():
         run_ambiguity(cfg, axis="bogus")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(points=0), "points must be at least 1, got 0"),
+    (dict(points=-4), "points must be at least 1, got -4"),
+    (dict(mc_cpis=-3), "mc_cpis must be nonnegative, got -3"),
+])
+def test_run_ambiguity_rejects_bad_counts(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_ambiguity(reference_config(), **kwargs)
+
+
 def test_run_phase_transition_theory():
     cfg = reference_config()
     rows = run_phase_transition_theory(cfg, parse_variants(cfg, "base,N=16"))
@@ -380,6 +398,18 @@ def test_run_comm_ber_rejects_unknown_scheme(schemes):
 def test_run_comm_rate_rejects_unknown_scheme(schemes):
     with pytest.raises(ValueError, match="unknown rate scheme"):
         run_comm_rate(tiny_comm(), [0.0], channels=1, draws=2, schemes=schemes)
+
+
+@pytest.mark.parametrize("run, schemes, message", [
+    (run_comm_ber, ("frac-ml", "frac-ml"), "scheme 'frac-ml' is repeated"),
+    (run_comm_ber, ("psk4-ml", "frac-sod", "psk4-ml"), "scheme 'psk4-ml' is repeated"),
+    (run_comm_ber, (), "scheme list is empty"),
+    (run_comm_rate, ("frac-j2", "frac-j2"), "scheme 'frac-j2' is repeated"),
+    (run_comm_rate, (), "scheme list is empty"),
+])
+def test_run_comm_rejects_repeated_or_empty_schemes(run, schemes, message):
+    with pytest.raises(ValueError, match=message):
+        run(tiny_comm(), [0.0], channels=1, draws=2, schemes=schemes)
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from frac.config import reference_config
 from frac.harness import run_phase_transition_empirical
+from frac.im_codec import random_selection_sequence
 from frac.phase_transition import (
     CROSSING_LEVEL,
+    L1_MARGIN,
+    RECOVERY_TOL,
     approx_threshold,
     crossing,
     measurement_count,
@@ -18,6 +23,7 @@ from frac.phase_transition import (
     recovery_trial,
     solve_threshold,
 )
+from frac.radar_recovery import bp_recover, build_dictionary
 
 
 def test_pt_integral_endpoints():
@@ -115,6 +121,59 @@ def test_recovery_trial_easy_and_hard():
     assert recovery_trial(cfg, 1, rng) is True
     rng = np.random.default_rng(1)
     assert recovery_trial(cfg, 7, rng) is False
+
+
+def _planted_trial(cfg, l_sparse, seed):
+    """The dictionary, planted vector and snapshot recovery_trial draws."""
+    rng = np.random.default_rng(seed)
+    dic = build_dictionary(random_selection_sequence(cfg, rng), cfg)
+    support = rng.choice(cfg.n2, size=l_sparse, replace=False)
+    b0 = np.zeros(cfg.n2, dtype=np.complex128)
+    b0[support] = np.exp(2j * np.pi * rng.random(l_sparse))
+    return dic, b0, dic.A @ b0
+
+
+@given(
+    st.fixed_dictionaries({
+        "N": st.sampled_from([4, 8]),
+        "M": st.sampled_from([2, 4]),
+        "K": st.integers(1, 2),
+        "P": st.sampled_from([2, 4]),
+        "Q_r": st.integers(1, 2),
+    }),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_certified_exit_keeps_the_decision(params, data, seed):
+    cfg = reference_config(**params)
+    l_sparse = data.draw(st.integers(1, cfg.n1), label="L")
+    dic, b0, y = _planted_trial(cfg, l_sparse, seed)
+    solve = dict(eps=0.0, tol=1e-5, max_iter=4000, on_limit="return")
+    full = bp_recover(y, dic, **solve)
+    full_ok = bool(np.linalg.norm(full.dense() - b0) / cfg.n2 <= RECOVERY_TOL)
+    assert recovery_trial(cfg, l_sparse, np.random.default_rng(seed)) is full_ok
+    early = bp_recover(y, dic, **solve, l1_bound=float(np.abs(b0).sum()) - L1_MARGIN)
+    assert early.iterations <= full.iterations
+    if early.stop == "optimal":
+        assert early.support == full.support
+    if early.stop == "bound":
+        assert not full_ok
+    if early.stop in ("tol", "cap"):
+        assert early.iterations == full.iterations and early.support == full.support
+
+
+def test_certified_exits_at_the_criterion_size():
+    # criterion 05's configuration: an easy trial is certified optimal and a
+    # hard one bounded, each in a fraction of the iterations of the full solve
+    cfg = reference_config(N=16, M=8, K=1, P=4, Q_r=2)
+    solve = dict(eps=0.0, tol=1e-5, max_iter=4000, on_limit="return")
+    for l_sparse, stop in ((2, "optimal"), (13, "bound")):
+        dic, b0, y = _planted_trial(cfg, l_sparse, [0, l_sparse, 0])
+        full = bp_recover(y, dic, **solve)
+        early = bp_recover(y, dic, **solve, l1_bound=float(np.abs(b0).sum()) - L1_MARGIN)
+        assert early.stop == stop
+        assert early.iterations < full.iterations / 2
 
 
 def test_empirical_transition_smoke():

@@ -1,5 +1,7 @@
 """Dictionary structure, solver correctness, and grid conversions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,7 +319,7 @@ def test_bp_equality_recovery(dic):
     sol = bp_recover(y, dic, eps=0.0)
     err = np.linalg.norm(sol.dense() - b0)
     assert err < 1e-4
-    assert sol.converged
+    assert sol.converged and sol.stop == "tol"
     assert set(flats.tolist()) <= set(sol.support)
 
 
@@ -346,7 +348,7 @@ def test_bp_raises_then_returns(dic):
         bp_recover(y, dic, eps=0.0, max_iter=3)
     sol = bp_recover(y, dic, eps=0.0, max_iter=3, on_limit="return")
     assert sol.iterations == 3
-    assert not sol.converged
+    assert not sol.converged and sol.stop == "cap"
     with pytest.raises(ValueError):
         bp_recover(y, dic, eps=-1.0)
     with pytest.raises(ValueError):
@@ -369,9 +371,64 @@ def test_bp_empty_noise_ball_returns_zero(dic):
         assert sol.support == ()
         assert sol.coeffs.shape == (0,)
         assert sol.iterations == 0
-        assert sol.converged
+        assert sol.converged and sol.stop == "empty"
         assert sol.residual_norm == pytest.approx(float(np.linalg.norm(y_in)))
         np.testing.assert_array_equal(sol.dense(), 0.0)
+
+
+def test_bp_l1_bound_needs_the_equality_program(dic):
+    y, _ = _planted(dic, [5], np.array([1.0]))
+    with pytest.raises(ValueError, match="l1_bound"):
+        bp_recover(y, dic, eps=0.1, l1_bound=1.0)
+
+
+def test_bp_certified_exits(dic):
+    rng = np.random.default_rng(13)
+    flats = rng.choice(dic.A.shape[1], size=3, replace=False)
+    y, b0 = _planted(dic, flats, np.exp(2j * np.pi * rng.random(3)))
+    full = bp_recover(y, dic)
+    # a bound no feasible point beats leaves only the optimality certificate
+    sol = bp_recover(y, dic, l1_bound=0.0)
+    assert sol.stop == "optimal" and sol.converged
+    assert sol.iterations % 10 == 0 and sol.iterations < full.iterations
+    assert sol.support == tuple(sorted(flats.tolist())) == full.support
+    np.testing.assert_allclose(sol.dense(), b0, rtol=0, atol=1e-9)
+    # far above the transition a feasible point soon beats ||b0||_1 - 1
+    n_rows = dic.A.shape[0]
+    flats = rng.choice(dic.A.shape[1], size=n_rows, replace=False)
+    y, b0 = _planted(dic, flats, np.exp(2j * np.pi * rng.random(n_rows)))
+    bound = np.abs(b0).sum() - 1.0
+    full = bp_recover(y, dic)
+    sol = bp_recover(y, dic, l1_bound=bound)
+    assert sol.stop == "bound" and sol.iterations < full.iterations
+    assert np.abs(sol.dense()).sum() < bound
+    assert sol.residual_norm <= 1e-3 * np.linalg.norm(y)
+
+
+def test_bp_certificate_passes_over_a_zero_fit_entry(monkeypatch):
+    # an entry of the support fit that is exactly zero has no sign: the check
+    # must pass over it without a division warning and without exiting.  In
+    # this draw the support of z carries a spurious column early on, so the
+    # fit with its entry zeroed still meets the residual test.
+    cfg = reference_config(N=8, M=4, K=1, P=4, Q_r=2)
+    rng = np.random.default_rng(1158)
+    dic = build_dictionary(random_selection_sequence(cfg, rng), cfg)
+    flats = rng.choice(cfg.n2, size=3, replace=False)
+    y, _ = _planted(dic, flats, np.exp(2j * np.pi * rng.random(3)))
+    full = bp_recover(y, dic)
+    lstsq = np.linalg.lstsq
+
+    def zeroed(a, b, rcond=None):
+        x, *rest = lstsq(a, b, rcond=rcond)
+        x[np.argmin(np.abs(x))] = 0.0
+        return (x, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", zeroed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = bp_recover(y, dic, l1_bound=0.0)
+    assert sol.stop == "tol"
+    assert sol.iterations == full.iterations and sol.support == full.support
 
 
 # ----------------------------------------------------------------------
