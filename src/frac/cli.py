@@ -76,6 +76,17 @@ def _grid(flag: str, text: str) -> list[float]:
         raise ConfigError(f"{flag}: {e}") from None
 
 
+def _levels(text: str) -> list[int]:
+    """The --l-values grid: distinct integer sparsity levels."""
+    values = _grid("--l-values", text)
+    for i, x in enumerate(values):
+        if not x.is_integer():
+            raise ConfigError(f"--l-values: sparsity level {x:g} is not an integer")
+        if x in values[:i]:
+            raise ConfigError(f"--l-values: sparsity level {x:g} is repeated")
+    return [int(x) for x in values]
+
+
 def _write_csv(args, cfg: SystemConfig, fieldnames: list[str], rows: list[dict],
                comments: list[str] | None = None) -> None:
     buf = io.StringIO()
@@ -154,7 +165,10 @@ def _cmd_ambiguity(args) -> int:
 
 def _cmd_phase_transition(args) -> int:
     cfg = _load_config(args)
-    variants = harness.parse_variants(cfg, args.variants)
+    try:
+        variants = harness.parse_variants(cfg, args.variants)
+    except ValueError as e:
+        raise ConfigError(f"--variants: {e}") from None
     if args.mode == "theory":
         given = [f"--{name.replace('_', '-')}" for name in ("l_values", "trials", "workers")
                  if getattr(args, name) is not None]
@@ -164,12 +178,13 @@ def _cmd_phase_transition(args) -> int:
         _write_csv(args, cfg, ["variant", "n1", "n2", "l_star", "beta_star",
                                "l_star_approx"], rows)
         return 0
+    given_levels = None if args.l_values is None else _levels(args.l_values)
     all_rows = []
     summary = {}
     for name, vcfg in variants:
         theory = harness.phase_transition.solve_threshold(vcfg.n1, vcfg.n2)
-        if args.l_values is not None:
-            l_values = [int(x) for x in _grid("--l-values", args.l_values)]
+        if given_levels is not None:
+            l_values = given_levels
         else:
             hi = max(3, int(math.ceil(theory.l_star * 2.0)))
             l_values = list(range(1, hi + 1))

@@ -31,6 +31,9 @@ R is built once per curve, so a channel costs M^2 n_taps P Q_c (n_taps + P)
 products, independent of U, instead of a Q_c U x M P matrix.  Psi itself is
 only built for the single-shot path (:func:`transmit`, :func:`ml_decode`,
 :func:`sod_decode`).
+
+The alphabet of the curves (:func:`enumerate_symbols`) maps words to
+selections through the arithmetic codec of :func:`frac.im_codec.encode`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .im_codec import MappingTable, PulseSelection, encode
+from .im_codec import PulseSelection, encode
 
 __all__ = [
     "SymbolSet",
@@ -197,7 +200,7 @@ def symbol_to_selection(e: np.ndarray, cfg: SystemConfig, atol: float = 1e-9) ->
     return PulseSelection(carriers=carriers, antennas=antennas, phases=phases)
 
 
-def enumerate_symbols(cfg: SystemConfig, mapping: MappingTable | None = None) -> SymbolSet:
+def enumerate_symbols(cfg: SystemConfig) -> SymbolSet:
     """Symbol vectors of every encodable word, in bit-string (integer) order."""
     nbits = cfg.n_total_bits
     if nbits > MAX_ALPHABET_BITS:
@@ -209,7 +212,7 @@ def enumerate_symbols(cfg: SystemConfig, mapping: MappingTable | None = None) ->
     carrier_sets = []
     for idx in range(n):
         word = format(idx, f"0{nbits}b")
-        sel = encode(word, cfg, mapping)
+        sel = encode(word, cfg)
         E[:, idx] = selection_to_symbol(sel, cfg)
         words.append(word)
         bits[idx] = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
@@ -353,7 +356,6 @@ def ber_curve(
     decoders: tuple[str, ...] = ("ml", "sod"),
     seed: int = 0,
     scheme_prefix: str = "frac",
-    mapping: MappingTable | None = None,
 ) -> list[BerPoint]:
     """Bit error rate by Monte Carlo over channels x draws per SNR point.
 
@@ -368,7 +370,7 @@ def ber_curve(
                 f"unknown decoder {name!r} in scheme {scheme_prefix}-{name}; "
                 f"expected one of {', '.join(DECODERS)}"
             )
-    symbols = enumerate_symbols(cfg, mapping)
+    symbols = enumerate_symbols(cfg)
     groups = _sod_groups(symbols)
     corr = _waveform_correlations(cfg)
     snr_db_list = [float(s) for s in snr_db_list]
@@ -415,7 +417,6 @@ def rate_curve(
     draws: int,
     seed: int = 0,
     scheme: str = "frac",
-    mapping: MappingTable | None = None,
 ) -> list[RatePoint]:
     """Achievable rate (mutual information, bits/pulse) of the discrete alphabet.
 
@@ -425,7 +426,7 @@ def rate_curve(
     bookkeeping.
     """
     _check_counts(channels, draws)
-    symbols = enumerate_symbols(cfg, mapping)
+    symbols = enumerate_symbols(cfg)
     corr = _waveform_correlations(cfg)
     snr_db_list = [float(s) for s in snr_db_list]
     sigmas = np.array([sigma_for_comm_snr(cfg, snr) for snr in snr_db_list])[:, None, None]

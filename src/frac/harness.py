@@ -96,12 +96,17 @@ def parse_range(text: str) -> list[float]:
 
 
 def parse_variants(cfg: SystemConfig, text: str) -> list[tuple[str, SystemConfig]]:
-    """Comma list of 'base' or 'FIELD=INT' entries into labeled configs."""
+    """Comma list of 'base' or 'FIELD=INT' entries into labeled configs.
+
+    The list must be non-empty and name no variant twice.
+    """
     out = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
+        if any(item == name for name, _ in out):
+            raise ValueError(f"variant {item!r} is repeated")
         if item == "base":
             out.append(("base", cfg))
             continue
@@ -112,13 +117,14 @@ def parse_variants(cfg: SystemConfig, text: str) -> list[tuple[str, SystemConfig
         if field not in ("N", "M", "K", "P", "Q_r", "Q_c", "J", "n_taps"):
             raise ValueError(f"variant field {field!r} is not an integer count")
         out.append((item, cfg.replace(**{field: int(val)})))
+    if not out:
+        raise ValueError(f"empty variant list {text!r}")
     return out
 
 
 def snap_to_grid(r: float, v: float, theta: float, cfg: SystemConfig) -> tuple[float, float, float]:
     """Physical triple of the nearest recovery grid point."""
-    g, n_tilde, m, q = physical_to_grid(r, v, theta, cfg)
-    flat = (n_tilde * cfg.M + m) * cfg.Q + q
+    g, flat = physical_to_grid(r, v, theta, cfg)
     return grid_to_physical(flat, g, cfg)
 
 
@@ -146,8 +152,8 @@ def _scene_truth(scene: list[Target], cfg: SystemConfig) -> dict[int, set[int]]:
     """Flat grid indices of a scene grouped by coarse cell."""
     truth: dict[int, set[int]] = {}
     for t in scene:
-        g, n_tilde, m, q = physical_to_grid(t.r, t.v, t.theta, cfg)
-        truth.setdefault(g, set()).add((n_tilde * cfg.M + m) * cfg.Q + q)
+        g, flat = physical_to_grid(t.r, t.v, t.theta, cfg)
+        truth.setdefault(g, set()).add(flat)
     return truth
 
 
@@ -168,6 +174,37 @@ def _random_grid_scene(
     return out
 
 
+def _hit_rate_trial(cfg: SystemConfig, sigmas: np.ndarray, rng: np.random.Generator,
+                    fixed_scene: list[Target] | None, n_targets: int, solver: str) -> np.ndarray:
+    """Hits of one trial, one bool per noise level in ``sigmas``."""
+    selections = random_selection_sequence(cfg, rng)
+    scene = fixed_scene if fixed_scene is not None else _random_grid_scene(cfg, n_targets, rng)
+    dic = build_dictionary(selections, cfg)
+    ok = np.ones(len(sigmas), dtype=bool)
+    for g, flats in sorted(_scene_truth(scene, cfg).items()):
+        cell_scene = [t for t in scene if cell_index(t.r, cfg) == g]
+        clean = simulate_cell_direct(cell_scene, selections, cfg, 0.0, g=g).data
+        noise = (
+            rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+        ) / math.sqrt(2.0)
+        # one snapshot per SNR: row s is clean + sigma_s * noise
+        Y = clean.reshape(-1) + sigmas[:, None] * noise.reshape(-1)
+        if solver == "omp":
+            scenes = omp_recover(Y, dic, n_targets=len(cell_scene))
+            ok &= [set(sol.support) == flats for sol in scenes]
+            continue
+        # one BP solve per SNR that every earlier cell got right
+        for si in np.flatnonzero(ok):
+            try:
+                sol = bp_recover(Y[si], dic, eps=default_bp_eps(cfg, sigmas[si]))
+                top = np.argsort(-np.abs(sol.coeffs))[:len(cell_scene)]
+                found = set(sol.support[i] for i in top)
+            except NonConvergenceError:
+                found = set()
+            ok[si] = found == flats
+    return ok
+
+
 def _hit_rate_chunk(args) -> np.ndarray:
     (cfg_dict, snr_db_list, trial_lo, trial_hi, seed, scene_mode, n_targets, solver) = args
     cfg = SystemConfig.from_dict(cfg_dict)
@@ -176,32 +213,8 @@ def _hit_rate_chunk(args) -> np.ndarray:
     hits = np.zeros(len(snr_db_list), dtype=np.int64)
     for trial in range(trial_lo, trial_hi):
         rng = np.random.default_rng([seed, _TAG_HIT, trial])
-        selections = random_selection_sequence(cfg, rng)
-        scene = fixed_scene if fixed_scene is not None else _random_grid_scene(cfg, n_targets, rng)
-        dic = build_dictionary(selections, cfg)
-        ok = np.ones(len(snr_db_list), dtype=bool)
-        for g, flats in sorted(_scene_truth(scene, cfg).items()):
-            cell_scene = [t for t in scene if cell_index(t.r, cfg) == g]
-            clean = simulate_cell_direct(cell_scene, selections, cfg, 0.0, g=g).data
-            noise = (
-                rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
-            ) / math.sqrt(2.0)
-            # one snapshot per SNR: row s is clean + sigma_s * noise
-            Y = clean.reshape(-1) + sigmas[:, None] * noise.reshape(-1)
-            if solver == "omp":
-                scenes = omp_recover(Y, dic, n_targets=len(cell_scene))
-                ok &= [set(sol.support) == flats for sol in scenes]
-                continue
-            # one BP solve per SNR that every earlier cell got right
-            for si in np.flatnonzero(ok):
-                try:
-                    sol = bp_recover(Y[si], dic, eps=default_bp_eps(cfg, sigmas[si]))
-                    top = np.argsort(-np.abs(sol.coeffs))[:len(cell_scene)]
-                    found = set(sol.support[i] for i in top)
-                except NonConvergenceError:
-                    found = set()
-                ok[si] = found == flats
-        hits += ok
+        # one trial per call, so its dictionary is freed before the next is built
+        hits += _hit_rate_trial(cfg, sigmas, rng, fixed_scene, n_targets, solver)
     return hits
 
 
@@ -239,7 +252,7 @@ def run_hit_rate(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if scene_mode == "random" and not 1 <= n_targets <= cfg.n2:
         raise ValueError(f"n_targets {n_targets} outside [1, n2={cfg.n2}]")
-    snr_db_list = [float(s) for s in snr_db_list]
+    snr_db_list = _snr_list(snr_db_list)
     jobs = [
         (cfg.to_dict(), snr_db_list, lo, hi, seed, scene_mode, n_targets, solver)
         for lo, hi in _chunk_args(trials, workers)
@@ -259,6 +272,14 @@ def run_hit_rate(
             )
         )
     return out
+
+
+def _snr_list(snr_db_list) -> list[float]:
+    """The SNR grid as floats; an empty grid would give a table with no rows."""
+    snrs = [float(s) for s in snr_db_list]
+    if not snrs:
+        raise ValueError("the SNR list is empty")
+    return snrs
 
 
 def _chunk_args(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -454,11 +475,16 @@ def run_phase_transition_empirical(
 
     Trial t at sparsity L draws from ``default_rng([seed, L, t])``, so the
     curve does not depend on the worker count.  The crossing is None when the
-    curve does not cross 0.6 within ``l_values``.
+    curve does not cross 0.6 within ``l_values``.  Levels must be distinct
+    integers: a repeated level would run and be written twice.
     """
-    for l_sparse in l_values:
+    for i, l_sparse in enumerate(l_values):
         if not 1 <= l_sparse <= cfg.n2:
             raise ValueError(f"sparsity level {l_sparse} outside [1, n2={cfg.n2}]")
+        if l_sparse != int(l_sparse):
+            raise ValueError(f"sparsity level {l_sparse} is not an integer")
+        if l_sparse in l_values[:i]:
+            raise ValueError(f"sparsity level {l_sparse} is repeated")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     l_values = [int(l) for l in l_values]
@@ -499,6 +525,7 @@ def run_comm_ber(
     seed: int = 0,
 ) -> list[comm.BerPoint]:
     """BER of each scheme: ``frac-<decoder>`` or ``psk<order>-<decoder>``."""
+    snr_db_list = _snr_list(snr_db_list)
     _check_schemes(schemes)
     frac_decoders, psk = [], []
     for s in schemes:
@@ -538,6 +565,7 @@ def run_comm_rate(
     seed: int = 0,
 ) -> list[comm.RatePoint]:
     """Rate of each scheme: ``frac-j<J>`` or ``psk<order>``."""
+    snr_db_list = _snr_list(snr_db_list)
     _check_schemes(schemes)
     out: list[comm.RatePoint] = []
     for s in schemes:

@@ -8,21 +8,25 @@ fine ranges/velocities/angles are signed offsets around the cell center.
 
 Entry (row, column) of A is exp(-2 pi i (m f_r + xi n f_v + xi virt f_t)),
 where row (n, k, q_r) transmits carrier m with frequency ratio xi from
-virtual element virt, so each row is the face-splitting (row-wise Kronecker)
-product of three short tables over f_v (N), f_r (M) and f_t (P*Q_r).  The
-build evaluates n1 (N + M + P*Q_r) exponentials and multiplies the tables
-out, instead of one exponential per entry.
+virtual element virt (the row model of :func:`frac.radar_sim.steering_rows`,
+which the echo generators share), so each row is the face-splitting
+(row-wise Kronecker) product of three short tables over f_v (N), f_r (M)
+and f_t (P*Q_r).  The build evaluates n1 (N + M + P*Q_r) exponentials and
+multiplies the tables out, instead of one exponential per entry.
+:func:`physical_to_grid` maps a physical triple to ``(g, flat)``, the coarse
+cell and column, and :func:`grid_to_physical` maps ``(flat, g)`` back.
 
 Two solvers are provided: greedy orthogonal matching pursuit with
-least-squares refitting, and an ADMM basis-pursuit solver handling both the
-equality (eps = 0) and noisy inequality constraint through an l2-ball
-projection.  OMP takes one snapshot or a block of them (a simplified
-Batch-OMP, Rubinstein, Zibulevsky & Elad 2008): each step correlates every
-unfinished snapshot with one product R^* A, and each snapshot keeps its own
-support, refit and stopping rule, so a block gives the scenes its rows
-would give one at a time.  The ADMM linear solve uses the inverse of the
-small row-space matrix (I + A A^H) via the matrix-inversion identity, so the
-per-iteration cost is two dictionary products.
+least-squares refitting, run for a known model order (one atom per
+target), and an ADMM basis-pursuit solver handling both the equality
+(eps = 0) and noisy inequality constraint through an l2-ball projection.
+OMP takes one snapshot or a block of them (a simplified Batch-OMP,
+Rubinstein, Zibulevsky & Elad 2008): each step correlates every snapshot
+with one product R^* A, and each snapshot keeps its own support and refit,
+so a block gives the scenes its rows would give one at a time.  The ADMM
+linear solve uses the inverse of the small row-space matrix (I + A A^H) via
+the matrix-inversion identity, so the per-iteration cost is two dictionary
+products.
 
 An equality BP solve can stop before its residual tolerance when the caller
 gives an l1 bound: every 10th iteration it tries Fuchs's certificate of
@@ -41,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .im_codec import PulseSelection, selection_arrays
-from .radar_sim import cell_center
+from .im_codec import PulseSelection
+from .radar_sim import cell_center, steering_rows
 
 __all__ = [
     "NonConvergenceError",
@@ -60,6 +64,10 @@ __all__ = [
 
 # refuse to materialize dictionaries beyond this many entries (rows * cols)
 MAX_DICTIONARY_ELEMENTS = 1 << 26
+# OMP correlations this close to the largest tie, and ties go to the lowest
+# column: aliased columns correlate equally up to rounding, and the rounding
+# depends on how many snapshots share the product
+OMP_TIE_RTOL = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
@@ -72,27 +80,6 @@ class Dictionary:
 
     A: np.ndarray
     cfg: SystemConfig
-    selections: tuple[PulseSelection, ...]
-    exact_xi: bool
-
-    @property
-    def grid_shape(self) -> tuple[int, int, int]:
-        """(velocity, fine-range, angle) grid sizes."""
-        return (self.cfg.N, self.cfg.M, self.cfg.Q)
-
-    def flat_index(self, n_tilde: int, m: int, q: int) -> int:
-        N, M, Q = self.grid_shape
-        if not (0 <= n_tilde < N and 0 <= m < M and 0 <= q < Q):
-            raise ValueError(f"grid triple {(n_tilde, m, q)} out of range {self.grid_shape}")
-        return (n_tilde * M + m) * Q + q
-
-    def unflatten(self, flat: int) -> tuple[int, int, int]:
-        N, M, Q = self.grid_shape
-        if not 0 <= flat < N * M * Q:
-            raise ValueError(f"flat index {flat} out of range({N * M * Q})")
-        n_tilde, rem = divmod(flat, M * Q)
-        m, q = divmod(rem, Q)
-        return (n_tilde, m, q)
 
 
 @dataclass(frozen=True)
@@ -132,35 +119,21 @@ class RecoveredTarget:
     cell: int
 
 
-def build_dictionary(
-    selections: list[PulseSelection],
-    cfg: SystemConfig,
-    exact_xi: bool = True,
-) -> Dictionary:
+def build_dictionary(selections: list[PulseSelection], cfg: SystemConfig) -> Dictionary:
     """Dense steering dictionary for the selections of one CPI.
 
     Rows follow the snapshot layout n*K*Q_r + k*Q_r + q_r; columns follow
     n_tilde*M*Q + m*Q + q over the (velocity, fine-range, angle) grid.
     """
-    if len(selections) != cfg.N:
-        raise ValueError(f"need {cfg.N} selections, got {len(selections)}")
+    rows = steering_rows(selections, cfg)
     n_rows, n_cols = cfg.n1, cfg.n2
     if n_rows * n_cols > MAX_DICTIONARY_ELEMENTS:
         raise ValueError(
             f"dictionary of {n_rows} x {n_cols} exceeds the "
             f"{MAX_DICTIONARY_ELEMENTS}-element cap"
         )
-    m_idx, p_idx, _ = selection_arrays(selections)          # (N, K)
-    if exact_xi:
-        xi = (cfg.f_c + m_idx * cfg.delta_f) / cfg.f_c
-    else:
-        xi = np.ones_like(m_idx, dtype=float)
-    qr = np.arange(cfg.Q_r)
     # per-row factors, flattened C-order over (n, k, q_r)
-    m_row = np.repeat(m_idx, cfg.Q_r).astype(float)
-    xi_row = np.repeat(xi, cfg.Q_r)
-    n_row = np.repeat(np.arange(cfg.N), cfg.K * cfg.Q_r).astype(float)
-    virt_row = (cfg.Q_r * p_idx[:, :, None] + qr[None, None, :]).reshape(-1).astype(float)
+    m_row, xi_row, n_row, virt_row = (a.reshape(-1).astype(float) for a in rows)
 
     f_v = np.arange(cfg.N) / cfg.N - 0.5
     f_r = np.arange(cfg.M) / cfg.M - 0.5
@@ -174,7 +147,7 @@ def build_dictionary(
     A = (
         e_v[:, :, None, None] * e_r[:, None, :, None] * e_t[:, None, None, :]
     ).reshape(n_rows, n_cols)
-    return Dictionary(A=A, cfg=cfg, selections=tuple(selections), exact_xi=exact_xi)
+    return Dictionary(A=A, cfg=cfg)
 
 
 # ----------------------------------------------------------------------
@@ -182,23 +155,17 @@ def build_dictionary(
 # ----------------------------------------------------------------------
 
 def omp_recover(
-    y: np.ndarray,
-    dic: Dictionary,
-    n_targets: int | None = None,
-    residual_tol: float | None = None,
-    max_iter: int | None = None,
+    y: np.ndarray, dic: Dictionary, n_targets: int
 ) -> SparseScene | list[SparseScene]:
     """Orthogonal matching pursuit with least-squares refitting.
 
-    Stops after ``n_targets`` atoms when the model order is known, otherwise
-    when the residual norm drops to ``residual_tol``.  ``y`` is one snapshot
-    of shape (n1,), which returns one scene, or a block of S snapshots of
-    shape (S, n1), which returns a list of S scenes, each the scene its row
-    would give alone.  Every step correlates all unfinished rows with one
-    dictionary product.
+    The model order is known: the solver picks ``n_targets`` atoms.  ``y``
+    is one snapshot of shape (n1,), which returns one scene, or a block of S
+    snapshots of shape (S, n1), which returns a list of S scenes, each the
+    scene its row would give alone.  Every step correlates all rows with one
+    dictionary product and takes the lowest column among the largest
+    correlations (ties to within ``OMP_TIE_RTOL``).
     """
-    if n_targets is None and residual_tol is None:
-        raise ValueError("one of n_targets or residual_tol is required")
     A = dic.A
     Y = np.asarray(y, dtype=np.complex128)
     if Y.ndim not in (1, 2):
@@ -206,46 +173,30 @@ def omp_recover(
     if Y.shape[-1] != A.shape[0]:
         raise ValueError(f"snapshot length {Y.shape[-1]} != dictionary rows {A.shape[0]}")
     Y2 = Y.reshape(-1, A.shape[0])
-    cap = n_targets if n_targets is not None else min(A.shape[0], 64)
-    if max_iter is not None:
-        cap = min(cap, max_iter)
 
     supports: list[list[int]] = [[] for _ in range(Y2.shape[0])]
     coeffs = [np.zeros(0, dtype=np.complex128)] * Y2.shape[0]
     R = Y2.copy()
-    active = list(range(Y2.shape[0]))
-    for _ in range(cap):
-        if n_targets is None:
-            active = [i for i in active if np.linalg.norm(R[i]) > residual_tol]
-        if not active:
-            break
-        corr = np.abs(R[active].conj() @ A)
-        for c, i in zip(corr, active):
+    for _ in range(n_targets):
+        corr = np.abs(R.conj() @ A)
+        for i, c in enumerate(corr):
             support = supports[i]
             if support:
                 c[support] = -1.0
-            support.append(int(np.argmax(c)))
+            support.append(int(np.argmax(c >= (1.0 - OMP_TIE_RTOL) * c.max())))
             sub = A[:, support]
             coeffs[i] = np.linalg.lstsq(sub, Y2[i], rcond=None)[0]
             R[i] = Y2[i] - sub @ coeffs[i]
-    scenes = []
-    for i, support in enumerate(supports):
-        rnorm = float(np.linalg.norm(R[i]))
-        if n_targets is None and rnorm > residual_tol:
-            where = f" in snapshot {i}" if Y.ndim == 2 else ""
-            raise NonConvergenceError(
-                f"OMP residual {rnorm:.3e} above tolerance {residual_tol:.3e} "
-                f"after {cap} atoms{where}"
-            )
-        scenes.append(
-            SparseScene(
-                support=tuple(support),
-                coeffs=np.asarray(coeffs[i], dtype=np.complex128),
-                residual_norm=rnorm,
-                n_columns=A.shape[1],
-                iterations=len(support),
-            )
+    scenes = [
+        SparseScene(
+            support=tuple(support),
+            coeffs=np.asarray(coeffs[i], dtype=np.complex128),
+            residual_norm=float(np.linalg.norm(R[i])),
+            n_columns=A.shape[1],
+            iterations=len(support),
         )
+        for i, support in enumerate(supports)
+    ]
     return scenes if Y.ndim == 2 else scenes[0]
 
 
@@ -264,7 +215,6 @@ def bp_recover(
     y: np.ndarray,
     dic: Dictionary,
     eps: float = 0.0,
-    rho: float = 1.0,
     max_iter: int = 10000,
     tol: float = 1e-6,
     support_threshold: float = 1e-3,
@@ -280,9 +230,10 @@ def bp_recover(
     row-dimension square and computed once per call: w = A zu + G c gives
     b = zu + A^H (c - W w) and A b = W w, so an iteration costs two
     dictionary products.  W is penalty-free, so the usual residual-balancing
-    penalty updates cost nothing.  When ||y|| <= eps, b = 0 is feasible and
-    optimal and is returned without iterating (stop ``"empty"``).  When the
-    residuals meet ``tol`` the solve stops with ``"tol"``.  When they have
+    updates of the penalty rho (starting at 1) cost nothing.  When
+    ||y|| <= eps, b = 0 is feasible and optimal and is returned without
+    iterating (stop ``"empty"``).  When the residuals meet ``tol`` the solve
+    stops with ``"tol"``.  When they have
     not met it after ``max_iter`` sweeps, raises :class:`NonConvergenceError`
     (``on_limit="raise"``) or returns the last iterate with stop ``"cap"``
     (``on_limit="return"``).
@@ -320,6 +271,7 @@ def bp_recover(
         raise ValueError(f"snapshot length {y.shape[0]} != dictionary rows {A.shape[0]}")
     n_rows, n_cols = A.shape
     y_norm = _norm(y)
+    rho = 1.0
 
     def scene(support, coeffs, residual_norm, iterations, stop):
         return SparseScene(
@@ -447,14 +399,14 @@ def grid_to_physical(flat_index: int, g: int, cfg: SystemConfig) -> tuple[float,
     return (r, v, math.asin(sin_t))
 
 
-def physical_to_grid(
-    r: float, v: float, theta: float, cfg: SystemConfig
-) -> tuple[int, int, int, int]:
-    """(g, n_tilde, m, q) of the grid point nearest to a physical triple.
+def physical_to_grid(r: float, v: float, theta: float, cfg: SystemConfig) -> tuple[int, int]:
+    """(g, flat) of the grid point nearest to a physical triple.
 
-    Rounding is floor(x + 1/2); velocity and angle wrap modulo their
-    unambiguous spans, range rounds on the global fine grid so boundary
-    offsets resolve to the adjacent coarse cell.
+    ``g`` is the coarse cell and ``flat`` the column (n_tilde*M + m)*Q + q,
+    so ``grid_to_physical(flat, g, cfg)`` returns the grid point.  Rounding
+    is floor(x + 1/2); velocity and angle wrap modulo their unambiguous
+    spans, range rounds on the global fine grid so boundary offsets resolve
+    to the adjacent coarse cell.
     """
     N, M, Q = cfg.N, cfg.M, cfg.Q
     h = math.floor(r / cfg.range_resolution + M / 2.0 + 0.5)
@@ -463,7 +415,7 @@ def physical_to_grid(
     n_tilde = math.floor((f_v + 0.5) * N + 0.5) % N
     f_t = cfg.d_r * math.sin(theta) / cfg.wavelength
     q = math.floor((f_t + 0.5) * Q + 0.5) % Q
-    return (int(g), int(n_tilde), int(m), int(q))
+    return (int(g), int((n_tilde * M + m) * Q + q))
 
 
 def recovered_targets(scene: SparseScene, g: int, dic: Dictionary) -> list[RecoveredTarget]:

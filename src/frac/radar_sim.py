@@ -1,5 +1,11 @@
 """Radar echo synthesis for the FMCW index-modulation transmitter.
 
+Snapshot row (n, k, q_r) is pulse n's k-th carrier m, with frequency ratio
+xi = (f_c + m delta_f) / f_c, seen by virtual element Q_r p + q_r; its
+steering phase is m f_r + xi (n f_v + (Q_r p + q_r) f_theta).  That row
+model, :func:`steering_rows`, drives both generation paths below and the
+recovery dictionary.
+
 Two generation paths are provided and agree exactly for scenes whose ranges
 sit at coarse-cell centers:
 
@@ -37,6 +43,7 @@ __all__ = [
     "FastTimeCube",
     "CrrpCube",
     "CellSnapshot",
+    "steering_rows",
     "cell_index",
     "cell_center",
     "validate_target",
@@ -88,10 +95,6 @@ class CellSnapshot:
     """One coarse cell's slow-time/carrier/receiver snapshot, shape (N, K, Q_r)."""
 
     data: np.ndarray
-    g: int
-    selections: tuple[PulseSelection, ...]
-    cfg: SystemConfig
-    sigma_r: float
 
     def flatten(self) -> np.ndarray:
         """Row-major vector, index n*K*Q_r + k*Q_r + q_r."""
@@ -139,6 +142,26 @@ def unit_echo_alpha(r: float, phase: float, cfg: SystemConfig) -> complex:
     return np.exp(1j * (phase + 4.0 * np.pi * r * cfg.f_c / cfg.c)) / cfg.G
 
 
+def steering_rows(selections: list[PulseSelection], cfg: SystemConfig):
+    """Row model of one CPI: (m, xi, n, virt), each of shape (N, K, Q_r).
+
+    Entry (n, k, q_r) holds the carrier index m, its frequency ratio xi, the
+    pulse index n and the virtual element Q_r p + q_r of that snapshot row.
+    """
+    if len(selections) != cfg.N:
+        raise ValueError(f"need {cfg.N} selections, got {len(selections)}")
+    m_idx, p_idx, _ = selection_arrays(selections)      # (N, K)
+    shape = (cfg.N, cfg.K, cfg.Q_r)
+    xi = (cfg.f_c + m_idx * cfg.delta_f) / cfg.f_c
+    virt = cfg.Q_r * p_idx[:, :, None] + np.arange(cfg.Q_r)
+    return (
+        np.broadcast_to(m_idx[:, :, None], shape),
+        np.broadcast_to(xi[:, :, None], shape),
+        np.broadcast_to(np.arange(cfg.N)[:, None, None], shape),
+        virt,
+    )
+
+
 def _target_phase_terms(t: Target, cfg: SystemConfig):
     """(alpha_tilde, f_r_full, f_v, f_theta) for one scatterer.
 
@@ -161,18 +184,10 @@ def simulate_fast_time(
     rng: np.random.Generator | None = None,
 ) -> FastTimeCube:
     """De-chirped fast-time cube (N, K, Q_r, G) for a scene."""
-    if len(selections) != cfg.N:
-        raise ValueError(f"need {cfg.N} selections, got {len(selections)}")
+    m, xi, n, virt = (a[..., None] for a in steering_rows(selections, cfg))
     for t in scene:
         validate_target(t, cfg)
-    m_idx, p_idx, _ = selection_arrays(selections)
-    xi = (cfg.f_c + m_idx * cfg.delta_f) / cfg.f_c      # (N, K)
-    n = np.arange(cfg.N)[:, None, None, None]
-    qr = np.arange(cfg.Q_r)[None, None, :, None]
-    gt = np.arange(cfg.G)[None, None, None, :]
-    m_b = m_idx[:, :, None, None]
-    xi_b = xi[:, :, None, None]
-    virt = cfg.Q_r * p_idx[:, :, None, None] + qr       # virtual element index
+    gt = np.arange(cfg.G)
 
     data = np.zeros((cfg.N, cfg.K, cfg.Q_r, cfg.G), dtype=np.complex128)
     for t in scene:
@@ -180,8 +195,8 @@ def simulate_fast_time(
         # beat tone 2*kappa*r*T_fast/c = f_r_full/G, since kappa*T_p = delta_f
         phase = (
             f_r_full / cfg.G * gt
-            + m_b * f_r_full
-            + xi_b * (f_v * n + f_theta * virt)
+            + m * f_r_full
+            + xi * (f_v * n + f_theta * virt)
         )
         data += alpha_tilde * np.exp(-2j * np.pi * phase)
     if sigma_r > 0.0:
@@ -205,13 +220,7 @@ def pulse_compress(cube: FastTimeCube) -> CrrpCube:
 def extract_cell(crrp: CrrpCube, g: int) -> CellSnapshot:
     if not 0 <= g < crrp.cfg.G:
         raise ValueError(f"cell {g} out of range(0, {crrp.cfg.G})")
-    return CellSnapshot(
-        data=np.ascontiguousarray(crrp.data[..., g]),
-        g=g,
-        selections=crrp.selections,
-        cfg=crrp.cfg,
-        sigma_r=crrp.sigma_r,
-    )
+    return CellSnapshot(data=np.ascontiguousarray(crrp.data[..., g]))
 
 
 def simulate_cell_direct(
@@ -221,14 +230,11 @@ def simulate_cell_direct(
     sigma_r: float,
     rng: np.random.Generator | None = None,
     g: int | None = None,
-    exact_xi: bool = True,
 ) -> CellSnapshot:
     """Post-compression snapshot of one coarse cell, written directly.
 
     Every target must fall in cell ``g`` (defaults to the cell of the first
-    target).  ``exact_xi=False`` freezes the carrier ratio at 1, matching the
-    narrowband dictionary variant; the default keeps the exact per-carrier
-    ratio the fast-time chain produces.
+    target).
     """
     if g is None:
         if not scene:
@@ -236,19 +242,7 @@ def simulate_cell_direct(
         g = cell_index(scene[0].r, cfg)
     if not 0 <= g < cfg.G:
         raise ValueError(f"cell {g} out of range(0, {cfg.G})")
-    if len(selections) != cfg.N:
-        raise ValueError(f"need {cfg.N} selections, got {len(selections)}")
-    m_idx, p_idx, _ = selection_arrays(selections)
-    if exact_xi:
-        xi = (cfg.f_c + m_idx * cfg.delta_f) / cfg.f_c
-    else:
-        xi = np.ones_like(m_idx, dtype=float)
-    n = np.arange(cfg.N)[:, None, None]
-    qr = np.arange(cfg.Q_r)[None, None, :]
-    m_b = m_idx[:, :, None]
-    xi_b = xi[:, :, None]
-    virt = cfg.Q_r * p_idx[:, :, None] + qr
-
+    m, xi, n, virt = steering_rows(selections, cfg)
     data = np.zeros((cfg.N, cfg.K, cfg.Q_r), dtype=np.complex128)
     for t in scene:
         validate_target(t, cfg)
@@ -260,7 +254,7 @@ def simulate_cell_direct(
         beta = cfg.G * alpha_tilde
         delta_r = t.r - cell_center(g, cfg)
         f_r = 2.0 * delta_r * cfg.delta_f / cfg.c
-        phase = m_b * f_r + xi_b * (f_v * n + f_theta * virt)
+        phase = m * f_r + xi * (f_v * n + f_theta * virt)
         data += beta * np.exp(-2j * np.pi * phase)
     if sigma_r > 0.0:
         if rng is None:
@@ -269,9 +263,7 @@ def simulate_cell_direct(
         data += scale * (
             rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
         )
-    return CellSnapshot(
-        data=data, g=g, selections=tuple(selections), cfg=cfg, sigma_r=sigma_r
-    )
+    return CellSnapshot(data=data)
 
 
 # ----------------------------------------------------------------------

@@ -387,6 +387,25 @@ def test_comm_repeated_or_empty_schemes_exit_2(command, schemes, message, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, variants, l_values, message", [
+    ("empirical", "base", "3,3", "--l-values: sparsity level 3 is repeated"),
+    ("empirical", "base", "1,2,3,2", "--l-values: sparsity level 2 is repeated"),
+    ("empirical", "base", "2.5", "--l-values: sparsity level 2.5 is not an integer"),
+    ("empirical", "", "3", "--variants: empty variant list"),
+    ("theory", " , ", None, "--variants: empty variant list"),
+    ("theory", "base,K=1,base", None, "--variants: variant 'base' is repeated"),
+])
+def test_phase_transition_bad_levels_or_variants_exit_2(mode, variants, l_values, message,
+                                                         tmp_path, capsys):
+    out = tmp_path / "pt.csv"
+    argv = ["phase-transition", "--mode", mode, "--variants", variants, "--out", str(out)]
+    if l_values is not None:
+        argv += ["--l-values", l_values, "--trials", "1"]
+    assert cli.main(argv + TINY) == 2
+    assert f"frac: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonconvergence_exits_3(monkeypatch, capsys):
     def boom(*a, **k):
         raise NonConvergenceError("solver stalled")

@@ -76,6 +76,17 @@ def test_parse_variants():
         parse_variants(cfg, "garbage")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty variant list"),
+    (" , ", "empty variant list"),
+    ("base,base", "variant 'base' is repeated"),
+    ("K=2, M=16,K=2", "variant 'K=2' is repeated"),
+])
+def test_parse_variants_rejects_empty_or_repeated(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_variants(reference_config(), text)
+
+
 # ----------------------------------------------------------------------
 # scenes
 # ----------------------------------------------------------------------
@@ -98,10 +109,10 @@ def test_reference_scene_structure():
     # two scatterers share a cell, the third sits in a different one
     cells = [cell_index(t.r, cfg) for t in scene]
     assert cells[0] == cells[1] != cells[2]
-    # the first two differ only in angle (one resolution cell apart)
-    g0 = physical_to_grid(scene[0].r, scene[0].v, scene[0].theta, cfg)
-    g1 = physical_to_grid(scene[1].r, scene[1].v, scene[1].theta, cfg)
-    assert g0[:3] == g1[:3] and abs(g0[3] - g1[3]) == 1
+    # the first two differ only in angle (one resolution cell apart): same
+    # cell, same (velocity, range) row of Q angle columns, adjacent columns
+    (g0, f0), (g1, f1) = (physical_to_grid(t.r, t.v, t.theta, cfg) for t in scene[:2])
+    assert g0 == g1 and f0 // cfg.Q == f1 // cfg.Q and abs(f0 - f1) == 1
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +217,27 @@ def test_hit_rate_bp_skips_snrs_an_earlier_cell_missed(monkeypatch):
     assert [p.hits for p in pts] == [0, 3]
     eps_low, eps_high = (default_bp_eps(cfg, sigma_for_snr(cfg, s)) for s in (0.0, 30.0))
     assert eps_seen == pytest.approx([eps_low, eps_high, eps_high] * 3)
+
+
+def test_hit_rate_trial_frees_its_dictionary(monkeypatch):
+    # one trial per call: the previous trial's dictionary is released before
+    # the next one is built, so only one is alive at a time
+    import gc
+    import weakref
+
+    build = frac.harness.build_dictionary
+    refs, alive = [], []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        dic = build(*args, **kwargs)
+        refs.append(weakref.ref(dic))
+        return dic
+
+    monkeypatch.setattr(frac.harness, "build_dictionary", tracked)
+    run_hit_rate(tiny_radar(), [10.0, 30.0], trials=4, seed=0)
+    assert alive == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -341,6 +373,17 @@ def test_run_phase_transition_empirical_workers():
     assert rows1[1]["success_rate"] <= 1 / 6
 
 
+@pytest.mark.parametrize("l_values, message", [
+    ([3, 3], "level 3 is repeated"),
+    ([1, 2, 1], "level 1 is repeated"),
+    ((2, 4, 2), "level 2 is repeated"),
+    ([1, 2.5], "level 2.5 is not an integer"),
+])
+def test_run_phase_transition_rejects_repeated_or_fractional_levels(l_values, message):
+    with pytest.raises(ValueError, match=message):
+        run_phase_transition_empirical(tiny_radar(), l_values, trials=1)
+
+
 def test_run_phase_transition_one_worker_runs_in_process(monkeypatch):
     # span tracing wraps module attributes, so with one worker every trial
     # must call frac.phase_transition.recovery_trial in this process
@@ -410,6 +453,17 @@ def test_run_comm_rate_rejects_unknown_scheme(schemes):
 def test_run_comm_rejects_repeated_or_empty_schemes(run, schemes, message):
     with pytest.raises(ValueError, match=message):
         run(tiny_comm(), [0.0], channels=1, draws=2, schemes=schemes)
+
+
+@pytest.mark.parametrize("run, kwargs", [
+    (run_hit_rate, dict(trials=1)),
+    (run_comm_ber, dict(channels=1, draws=2)),
+    (run_comm_rate, dict(channels=1, draws=2)),
+])
+def test_drivers_reject_an_empty_snr_list(run, kwargs):
+    cfg = tiny_radar() if run is run_hit_rate else tiny_comm()
+    with pytest.raises(ValueError, match="SNR list is empty"):
+        run(cfg, [], **kwargs)
 
 
 # ----------------------------------------------------------------------
