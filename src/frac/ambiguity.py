@@ -87,7 +87,7 @@ def instantaneous_af(
     df_t,
 ) -> np.ndarray:
     """Complex chi of one CPI at broadcastable offset arrays."""
-    m_idx, p_idx, _ = selection_arrays(selections)          # (N, K)
+    m_idx, p_idx = selection_arrays(selections)             # (N, K)
     return _chi_from_counts(cfg, _pair_counts(cfg, m_idx, p_idx), *_offsets(df_r, df_v, df_t))
 
 

@@ -314,9 +314,8 @@ def random_selection_sequence(
         out.append(PulseSelection(carriers=carriers, antennas=antennas, phases=phases))
     return out
 
-def selection_arrays(selections: list[PulseSelection]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack a CPI's selections into (N, K) index/phase arrays."""
+def selection_arrays(selections: list[PulseSelection]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack a CPI's selections into (N, K) carrier and antenna index arrays."""
     m_idx = np.array([s.carriers for s in selections], dtype=np.int64)
     p_idx = np.array([s.antennas for s in selections], dtype=np.int64)
-    phases = np.array([s.phases for s in selections], dtype=float)
-    return m_idx, p_idx, phases
+    return m_idx, p_idx

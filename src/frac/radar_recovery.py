@@ -11,8 +11,14 @@ where row (n, k, q_r) transmits carrier m with frequency ratio xi from
 virtual element virt (the row model of :func:`frac.radar_sim.steering_rows`,
 which the echo generators share), so each row is the face-splitting
 (row-wise Kronecker) product of three short tables over f_v (N), f_r (M)
-and f_t (P*Q_r).  The build evaluates n1 (N + M + P*Q_r) exponentials and
-multiplies the tables out, instead of one exponential per entry.
+and f_t (P*Q_r).  A :class:`Dictionary` holds only those tables, n1 (N + M +
+P*Q_r) exponentials, and serves OMP through two operations that never form
+A: ``correlate(R)``, the product R^* A for a block of snapshots, each
+snapshot's row as the e_v table scaled by that snapshot times the
+Khatri-Rao table of e_r and e_t, and ``columns(flats)``, chosen columns
+from three table lookups.  The dense A is formed once, on demand
+(``Dictionary.A``), for basis pursuit, the phase-transition trials and
+tests; ``MAX_DICTIONARY_ELEMENTS`` caps that view, not the tables.
 :func:`physical_to_grid` maps a physical triple to ``(g, flat)``, the coarse
 cell and column, and :func:`grid_to_physical` maps ``(flat, g)`` back.
 
@@ -22,11 +28,12 @@ target), and an ADMM basis-pursuit solver handling both the equality
 (eps = 0) and noisy inequality constraint through an l2-ball projection.
 OMP takes one snapshot or a block of them (a simplified Batch-OMP,
 Rubinstein, Zibulevsky & Elad 2008): each step correlates every snapshot
-with one product R^* A, and each snapshot keeps its own support and refit,
-so a block gives the scenes its rows would give one at a time.  The ADMM
-linear solve uses the inverse of the small row-space matrix (I + A A^H) via
-the matrix-inversion identity, so the per-iteration cost is two dictionary
-products.
+through ``correlate`` and each snapshot keeps its own support; the rows
+share the support size, so every step refits all of them with one stacked
+QR, and a block gives the scenes its rows would give one at a time.  The
+ADMM linear solve uses the inverse of the small row-space matrix (I + A A^H)
+via the matrix-inversion identity, so the per-iteration cost is two
+dictionary products.
 
 An equality BP solve can stop before its residual tolerance when the caller
 gives an l1 bound: every 10th iteration it tries Fuchs's certificate of
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +70,7 @@ __all__ = [
     "recovered_targets",
 ]
 
-# refuse to materialize dictionaries beyond this many entries (rows * cols)
+# refuse to form a dense dictionary view beyond this many entries (rows * cols)
 MAX_DICTIONARY_ELEMENTS = 1 << 26
 # OMP correlations this close to the largest tie, and ties go to the lowest
 # column: aliased columns correlate equally up to rounding, and the rounding
@@ -76,10 +84,58 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Steering dictionary for one coarse cell, shape (N*K*Q_r, N*M*P*Q_r)."""
+    """Steering dictionary for one coarse cell, shape (N*K*Q_r, N*M*P*Q_r).
 
-    A: np.ndarray
+    Held as its three exponential tables over the rows: ``e_v`` (n1, N),
+    ``e_r`` (n1, M) and ``e_t`` (n1, P*Q_r), with column (n~, m, q) of A
+    equal to e_v[:, n~] e_r[:, m] e_t[:, q].  ``A`` is the dense view,
+    formed on first use and kept.
+    """
+
+    e_v: np.ndarray
+    e_r: np.ndarray
+    e_t: np.ndarray
     cfg: SystemConfig
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """Dense (n1, n2) matrix; raises above ``MAX_DICTIONARY_ELEMENTS``."""
+        n_rows, n_cols = self.cfg.n1, self.cfg.n2
+        if n_rows * n_cols > MAX_DICTIONARY_ELEMENTS:
+            raise ValueError(
+                f"dictionary of {n_rows} x {n_cols} exceeds the "
+                f"{MAX_DICTIONARY_ELEMENTS}-element cap"
+            )
+        e_v, e_r, e_t = self.e_v, self.e_r, self.e_t
+        return (
+            e_v[:, :, None, None] * e_r[:, None, :, None] * e_t[:, None, None, :]
+        ).reshape(n_rows, n_cols)
+
+    @cached_property
+    def _e_rt(self) -> np.ndarray:
+        """Khatri-Rao (row-wise Kronecker) table of e_r and e_t, (n1, M*Q)."""
+        return (self.e_r[:, :, None] * self.e_t[:, None, :]).reshape(self.cfg.n1, -1)
+
+    def correlate(self, R: np.ndarray) -> np.ndarray:
+        """R^* A for a block R of shape (S, n1), without forming A.
+
+        Row r of R gives its row of R^* A, reshaped to (N, M*Q), as one
+        product: the (N, n1) table e_v^T scaled by r^*, times the Khatri-Rao
+        table (n1, M*Q).  A product per row holds no (S, N, n1) block.
+        """
+        if R.ndim != 2 or R.shape[1] != self.cfg.n1:
+            raise ValueError(f"need a block of shape (S, {self.cfg.n1}), got {R.shape}")
+        e_vT, e_rt = self.e_v.T, self._e_rt
+        out = np.empty((R.shape[0], self.cfg.N, e_rt.shape[1]), dtype=np.complex128)
+        for r, o in zip(R.conj(), out):
+            np.matmul(e_vT * r, e_rt, out=o)
+        return out.reshape(R.shape[0], self.cfg.n2)
+
+    def columns(self, flats) -> np.ndarray:
+        """A[:, flats] for an integer array of any shape, from the tables."""
+        n_tilde, rem = np.divmod(np.asarray(flats), self.cfg.M * self.cfg.Q)
+        m, q = np.divmod(rem, self.cfg.Q)
+        return self.e_v[:, n_tilde] * self.e_r[:, m] * self.e_t[:, q]
 
 
 @dataclass(frozen=True)
@@ -120,18 +176,14 @@ class RecoveredTarget:
 
 
 def build_dictionary(selections: list[PulseSelection], cfg: SystemConfig) -> Dictionary:
-    """Dense steering dictionary for the selections of one CPI.
+    """Steering dictionary for the selections of one CPI, as its three tables.
 
     Rows follow the snapshot layout n*K*Q_r + k*Q_r + q_r; columns follow
-    n_tilde*M*Q + m*Q + q over the (velocity, fine-range, angle) grid.
+    n_tilde*M*Q + m*Q + q over the (velocity, fine-range, angle) grid.  No
+    n1 x n2 matrix is built here; ``MAX_DICTIONARY_ELEMENTS`` applies when
+    the dense view ``Dictionary.A`` is first read.
     """
     rows = steering_rows(selections, cfg)
-    n_rows, n_cols = cfg.n1, cfg.n2
-    if n_rows * n_cols > MAX_DICTIONARY_ELEMENTS:
-        raise ValueError(
-            f"dictionary of {n_rows} x {n_cols} exceeds the "
-            f"{MAX_DICTIONARY_ELEMENTS}-element cap"
-        )
     # per-row factors, flattened C-order over (n, k, q_r)
     m_row, xi_row, n_row, virt_row = (a.reshape(-1).astype(float) for a in rows)
 
@@ -141,13 +193,12 @@ def build_dictionary(selections: list[PulseSelection], cfg: SystemConfig) -> Dic
 
     # A[row, (n~, m, q)] = e_v[row, n~] * e_r[row, m] * e_t[row, q]: each row
     # is the face-splitting product of three short exponential tables
-    e_v = np.exp(-2j * np.pi * (xi_row * n_row)[:, None] * f_v[None, :])
-    e_r = np.exp(-2j * np.pi * m_row[:, None] * f_r[None, :])
-    e_t = np.exp(-2j * np.pi * (xi_row * virt_row)[:, None] * f_t[None, :])
-    A = (
-        e_v[:, :, None, None] * e_r[:, None, :, None] * e_t[:, None, None, :]
-    ).reshape(n_rows, n_cols)
-    return Dictionary(A=A, cfg=cfg)
+    return Dictionary(
+        e_v=np.exp(-2j * np.pi * (xi_row * n_row)[:, None] * f_v[None, :]),
+        e_r=np.exp(-2j * np.pi * m_row[:, None] * f_r[None, :]),
+        e_t=np.exp(-2j * np.pi * (xi_row * virt_row)[:, None] * f_t[None, :]),
+        cfg=cfg,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -159,45 +210,67 @@ def omp_recover(
 ) -> SparseScene | list[SparseScene]:
     """Orthogonal matching pursuit with least-squares refitting.
 
-    The model order is known: the solver picks ``n_targets`` atoms.  ``y``
-    is one snapshot of shape (n1,), which returns one scene, or a block of S
-    snapshots of shape (S, n1), which returns a list of S scenes, each the
-    scene its row would give alone.  Every step correlates all rows with one
-    dictionary product and takes the lowest column among the largest
-    correlations (ties to within ``OMP_TIE_RTOL``).
+    The model order is known: the solver picks ``n_targets`` atoms, at most
+    n2.  ``y`` is one snapshot of shape (n1,), which returns one scene, or a
+    block of S snapshots of shape (S, n1), which returns a list of S scenes,
+    each the scene its row would give alone.  Every step correlates all rows
+    with one ``dic.correlate`` product and takes the lowest column among the
+    largest correlations (ties to within ``OMP_TIE_RTOL``); the dense
+    dictionary is never formed.
     """
-    A = dic.A
+    n_rows, n_cols = dic.cfg.n1, dic.cfg.n2
     Y = np.asarray(y, dtype=np.complex128)
     if Y.ndim not in (1, 2):
         raise ValueError(f"snapshots must be 1-D or a 2-D block, got shape {Y.shape}")
-    if Y.shape[-1] != A.shape[0]:
-        raise ValueError(f"snapshot length {Y.shape[-1]} != dictionary rows {A.shape[0]}")
-    Y2 = Y.reshape(-1, A.shape[0])
+    if Y.shape[-1] != n_rows:
+        raise ValueError(f"snapshot length {Y.shape[-1]} != dictionary rows {n_rows}")
+    if not 0 <= n_targets <= n_cols:
+        raise ValueError(f"n_targets {n_targets} outside [0, n2={n_cols}]")
+    Y2 = Y.reshape(-1, n_rows)
 
-    supports: list[list[int]] = [[] for _ in range(Y2.shape[0])]
-    coeffs = [np.zeros(0, dtype=np.complex128)] * Y2.shape[0]
-    R = Y2.copy()
-    for _ in range(n_targets):
-        corr = np.abs(R.conj() @ A)
-        for i, c in enumerate(corr):
-            support = supports[i]
-            if support:
-                c[support] = -1.0
-            support.append(int(np.argmax(c >= (1.0 - OMP_TIE_RTOL) * c.max())))
-            sub = A[:, support]
-            coeffs[i] = np.linalg.lstsq(sub, Y2[i], rcond=None)[0]
-            R[i] = Y2[i] - sub @ coeffs[i]
+    rows = np.arange(Y2.shape[0])[:, None]
+    supports = np.zeros((Y2.shape[0], n_targets), dtype=np.int64)
+    coeffs = np.zeros((Y2.shape[0], 0), dtype=np.complex128)
+    R = Y2
+    for k in range(n_targets):
+        corr = np.abs(dic.correlate(R))
+        corr[rows, supports[:, :k]] = -1.0
+        peak = corr.max(axis=1, keepdims=True)
+        supports[:, k] = np.argmax(corr >= (1.0 - OMP_TIE_RTOL) * peak, axis=1)
+        coeffs, R = _refit(np.moveaxis(dic.columns(supports[:, :k + 1]), 0, 1), Y2)
     scenes = [
         SparseScene(
-            support=tuple(support),
-            coeffs=np.asarray(coeffs[i], dtype=np.complex128),
+            support=tuple(support.tolist()),
+            coeffs=coeffs[i],
             residual_norm=float(np.linalg.norm(R[i])),
-            n_columns=A.shape[1],
-            iterations=len(support),
+            n_columns=n_cols,
+            iterations=n_targets,
         )
         for i, support in enumerate(supports)
     ]
     return scenes if Y.ndim == 2 else scenes[0]
+
+
+def _refit(cols: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of each row of Y (S, n1) on its own columns cols
+    (S, n1, k); returns the (S, k) coefficients and (S, n1) residuals.
+
+    One stacked QR serves every row.  A row whose QR has a diagonal entry
+    below 1e-8 of its largest (its columns are nearly dependent), and every
+    row once k > n1, takes ``np.linalg.lstsq``'s minimum-norm answer.
+    """
+    S, n_rows, k = cols.shape
+    coeffs = np.empty((S, k), dtype=np.complex128)
+    full = np.zeros(S, dtype=bool)
+    if k <= n_rows:
+        Q, T = np.linalg.qr(cols)
+        diag = np.abs(np.diagonal(T, axis1=1, axis2=2))
+        full = diag.min(axis=1) > 1e-8 * diag.max(axis=1)
+        QhY = Q[full].conj().transpose(0, 2, 1) @ Y[full, :, None]
+        coeffs[full] = np.linalg.solve(T[full], QhY)[..., 0]
+    for i in np.flatnonzero(~full):
+        coeffs[i] = np.linalg.lstsq(cols[i], Y[i], rcond=None)[0]
+    return coeffs, Y - (cols @ coeffs[:, :, None])[..., 0]
 
 
 def default_bp_eps(cfg: SystemConfig, sigma_r: float) -> float:

@@ -150,7 +150,7 @@ def steering_rows(selections: list[PulseSelection], cfg: SystemConfig):
     """
     if len(selections) != cfg.N:
         raise ValueError(f"need {cfg.N} selections, got {len(selections)}")
-    m_idx, p_idx, _ = selection_arrays(selections)      # (N, K)
+    m_idx, p_idx = selection_arrays(selections)         # (N, K)
     shape = (cfg.N, cfg.K, cfg.Q_r)
     xi = (cfg.f_c + m_idx * cfg.delta_f) / cfg.f_c
     virt = cfg.Q_r * p_idx[:, :, None] + np.arange(cfg.Q_r)

@@ -187,7 +187,7 @@ def _dense_mc_mean_af(cfg, df_r, df_v, df_t, n_cpi, rng, chunk=None):
 
 def _loop_instantaneous_af(cfg, selections, df_r, df_v, df_t):
     """Reference: the defining sum over pulses n, slots k and receivers q_r."""
-    m_idx, p_idx, _ = selection_arrays(selections)
+    m_idx, p_idx = selection_arrays(selections)
     chi = 0.0
     for n in range(cfg.N):
         for k in range(cfg.K):

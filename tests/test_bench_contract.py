@@ -63,3 +63,15 @@ def test_dictionary_takes_the_selections_first(monkeypatch):
     want = np.array([[checks.steering_entry(cfg, sels, r, c) for c in range(cfg.n2)]
                      for r in range(cfg.n1)])
     np.testing.assert_allclose(A, want, rtol=0, atol=1e-12)
+
+
+def test_dense_dictionary_view_is_formed_once():
+    # the dictionary span reads .A.shape and .A.itemsize and the capture
+    # reads .A[r, c] 512 times per dictionary: a view rebuilt on every read
+    # would multiply the reference repeat's time
+    cfg = reference_config(N=4, M=4, K=2, P=2, Q_r=2)
+    dic = build_dictionary(random_selection_sequence(cfg, np.random.default_rng(0)), cfg)
+    A = dic.A
+    assert type(A) is np.ndarray and A.dtype == np.complex128
+    assert A.shape == (cfg.n1, cfg.n2) and A.flags.c_contiguous
+    assert dic.A is A

@@ -230,7 +230,8 @@ def test_random_sequence_shapes_and_validity():
     rng = np.random.default_rng(0)
     sels = random_selection_sequence(cfg, rng)
     assert len(sels) == cfg.N
-    m_idx, p_idx, phases = selection_arrays(sels)
+    m_idx, p_idx = selection_arrays(sels)
+    phases = np.array([s.phases for s in sels])
     assert m_idx.shape == p_idx.shape == phases.shape == (cfg.N, cfg.K)
     assert m_idx.min() >= 0 and m_idx.max() < cfg.M
     assert p_idx.min() >= 0 and p_idx.max() < cfg.P

@@ -80,7 +80,7 @@ def test_columns_match_generator(cfg, selections, dic):
 
 def _dense_dictionary_reference(selections, cfg):
     """One complex exponential per dictionary entry over the full phase grid."""
-    m_idx, p_idx, _ = selection_arrays(selections)
+    m_idx, p_idx = selection_arrays(selections)
     xi = (cfg.f_c + m_idx * cfg.delta_f) / cfg.f_c
     qr = np.arange(cfg.Q_r)
     m_row = np.repeat(m_idx, cfg.Q_r).astype(float)
@@ -114,21 +114,44 @@ def _dictionary_configs(draw):
 @given(_dictionary_configs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_factorized_dictionary_matches_dense(params, seed):
+    # the dense view against one exponential per entry, and the two
+    # operations OMP uses against the dense view
     cfg = reference_config(**params)
-    sels = random_selection_sequence(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    sels = random_selection_sequence(cfg, rng)
     dic = build_dictionary(sels, cfg)
     assert dic.A.shape == (cfg.n1, cfg.n2)
+    assert dic.A is dic.A
     np.testing.assert_allclose(
         dic.A, _dense_dictionary_reference(sels, cfg), rtol=0, atol=1e-12
     )
+    n_snapshots = int(rng.integers(1, 6))
+    R = rng.standard_normal((n_snapshots, cfg.n1)) + 1j * rng.standard_normal((n_snapshots, cfg.n1))
+    np.testing.assert_allclose(dic.correlate(R), R.conj() @ dic.A, rtol=0, atol=1e-12)
+    flats = rng.integers(cfg.n2, size=(n_snapshots, int(rng.integers(1, 5))))
+    np.testing.assert_array_equal(dic.columns(flats), dic.A[:, flats])
+
+
+def test_correlate_takes_a_block(dic):
+    # one snapshot is a block of one row; a bare row would be read as n1
+    # blocks of one entry each
+    y = np.ones(dic.cfg.n1, dtype=np.complex128)
+    np.testing.assert_allclose(dic.correlate(y[None, :])[0], y @ dic.A, rtol=0, atol=1e-12)
+    for bad in (y, np.ones((2, dic.cfg.n1 + 1))):
+        with pytest.raises(ValueError, match="block of shape"):
+            dic.correlate(bad)
 
 
 def test_dictionary_size_cap():
+    # the tables of a dictionary above the cap are small; only the dense
+    # view is refused
     cfg = reference_config(N=128, M=32, P=8, Q_r=4, K=2)
     sels = random_selection_sequence(cfg, np.random.default_rng(0))
     assert cfg.N * cfg.K * cfg.Q_r * cfg.N * cfg.M * cfg.Q > MAX_DICTIONARY_ELEMENTS
-    with pytest.raises(ValueError):
-        build_dictionary(sels, cfg)
+    dic = build_dictionary(sels, cfg)
+    assert dic.columns([0, cfg.n2 - 1]).shape == (cfg.n1, 2)
+    with pytest.raises(ValueError, match="cap"):
+        dic.A
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +227,19 @@ def test_omp_argument_checks(dic):
         omp_recover(np.zeros(4), dic, n_targets=1)
 
 
+def test_omp_model_order_within_grid():
+    # n2 = 8: a model order outside [0, n2] cannot be honoured; n2 itself
+    # (more atoms than rows) and 0 can
+    cfg = reference_config(N=2, M=2, K=1, P=2, Q_r=1)
+    dic = build_dictionary(random_selection_sequence(cfg, np.random.default_rng(0)), cfg)
+    y = np.ones(cfg.n1, dtype=np.complex128)
+    for n_targets in (-1, cfg.n2 + 1, 10):
+        with pytest.raises(ValueError, match=f"n_targets {n_targets} "):
+            omp_recover(y, dic, n_targets=n_targets)
+    assert omp_recover(y, dic, n_targets=0).support == ()
+    assert sorted(omp_recover(y, dic, n_targets=cfg.n2).support) == list(range(cfg.n2))
+
+
 # ----------------------------------------------------------------------
 # block OMP against the single-snapshot reference
 # ----------------------------------------------------------------------
@@ -228,7 +264,7 @@ def _omp_reference(y, A, n_targets):
 
 
 @given(
-    _SMALL_CONFIGS,
+    _dictionary_configs(),
     st.integers(1, 12),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
@@ -253,6 +289,25 @@ def test_block_omp_matches_single_reference(params, n_snapshots, n_sparse, seed)
         assert sol.iterations == len(support)
         np.testing.assert_allclose(sol.coeffs, coeffs, rtol=0, atol=1e-10)
         assert sol.residual_norm == pytest.approx(rnorm, rel=1e-9, abs=1e-12)
+
+
+def test_block_omp_beyond_n1_atoms():
+    # k > n1 atoms: once n1 columns span the snapshot space the residual is
+    # rounding noise, so the later picks depend on how the products round
+    # and need not match the reference; the first n1 picks must, and every
+    # refit is lstsq's minimum-norm answer on the support picked
+    cfg = reference_config(N=2, M=4, K=1, P=2, Q_r=2)
+    rng = np.random.default_rng(3)
+    dic = build_dictionary(random_selection_sequence(cfg, rng), cfg)
+    n_sparse = cfg.n1 + 2
+    Y = rng.standard_normal((3, cfg.n1)) + 1j * rng.standard_normal((3, cfg.n1))
+    for sol, y in zip(omp_recover(Y, dic, n_targets=n_sparse), Y):
+        support, _, _ = _omp_reference(y, dic.A, n_sparse)
+        assert sol.support[:cfg.n1] == support[:cfg.n1]
+        assert len(set(sol.support)) == n_sparse
+        min_norm = np.linalg.lstsq(dic.A[:, list(sol.support)], y, rcond=None)[0]
+        np.testing.assert_allclose(sol.coeffs, min_norm, rtol=0, atol=1e-12)
+        assert sol.residual_norm < 1e-12 * np.linalg.norm(y)
 
 
 def test_omp_block_breaks_ties_as_single_snapshots():
