@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SystemConfig
-from .im_codec import PulseSelection, selection_arrays
+from .im_codec import PulseSelection, SelectionSequence, _key_blocks, _key_picks, selection_arrays
 
 __all__ = [
     "dirichlet",
@@ -54,10 +54,12 @@ def _offsets(df_r, df_v, df_t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _pair_counts(cfg: SystemConfig, m_sel: np.ndarray, p_sel: np.ndarray) -> np.ndarray:
-    """Flat C[n, m, p] from (..., N, K) carrier and antenna draws paired by slot."""
-    n = np.arange(cfg.N)[:, None]
-    flat = (n * cfg.M + m_sel) * cfg.P + p_sel
+def _pair_counts(
+    cfg: SystemConfig, n: np.ndarray, m_sel: np.ndarray, p_sel: np.ndarray
+) -> np.ndarray:
+    """Flat C[n, m, p] from (rows, K) carrier and antenna draws paired by slot,
+    row r being pulse ``n[r]``."""
+    flat = (n[:, None] * cfg.M + m_sel) * cfg.P + p_sel
     return np.bincount(flat.reshape(-1), minlength=cfg.N * cfg.M * cfg.P)
 
 
@@ -81,14 +83,15 @@ def _chi_from_counts(
 
 def instantaneous_af(
     cfg: SystemConfig,
-    selections: list[PulseSelection],
+    selections: SelectionSequence | list[PulseSelection],
     df_r,
     df_v,
     df_t,
 ) -> np.ndarray:
     """Complex chi of one CPI at broadcastable offset arrays."""
     m_idx, p_idx = selection_arrays(selections)             # (N, K)
-    return _chi_from_counts(cfg, _pair_counts(cfg, m_idx, p_idx), *_offsets(df_r, df_v, df_t))
+    counts = _pair_counts(cfg, np.arange(cfg.N), m_idx, p_idx)
+    return _chi_from_counts(cfg, counts, *_offsets(df_r, df_v, df_t))
 
 
 def expected_af(cfg: SystemConfig, df_r, df_v, df_t) -> np.ndarray:
@@ -116,16 +119,20 @@ def mc_mean_af(
     df_r, df_v, df_t = _offsets(df_r, df_v, df_t)
     if chunk is None:
         # the chunk sets how the draws split into rng calls, so the rule is
-        # part of the seeded sample; it bounds only the (chunk, N, M) and
-        # (chunk, N, P) random keys and their argsorts
+        # part of the seeded sample: each chunk draws all its carrier keys,
+        # then all its antenna keys, through the radar draw's key sampler
         chunk = max(1, (1 << 24) // max(1, cfg.N * cfg.K * df_r.size))
     counts = np.zeros(cfg.N * cfg.M * cfg.P, dtype=np.int64)
     done = 0
     while done < n_cpi:
         c = min(chunk, n_cpi - done)
-        # uniform K-subsets via random-key sort
-        m_sel = np.argsort(rng.random((c, cfg.N, cfg.M)), axis=-1)[..., : cfg.K]
-        p_sel = np.argsort(rng.random((c, cfg.N, cfg.P)), axis=-1)[..., : cfg.K]
-        counts += _pair_counts(cfg, m_sel, p_sel)
+        rows = c * cfg.N
+        # only the (rows, K) carrier picks, in the narrowest dtype that holds
+        # a carrier index, are held until the antenna keys come; those are
+        # counted block by block
+        m_sel = _key_picks(rng, rows, cfg.M, cfg.K, dtype=np.min_scalar_type(cfg.M - 1))
+        for lo, p_sel in _key_blocks(rng, rows, cfg.P, cfg.K):
+            hi = lo + len(p_sel)
+            counts += _pair_counts(cfg, np.arange(lo, hi) % cfg.N, m_sel[lo:hi], p_sel)
         done += c
     return _chi_from_counts(cfg, counts, df_r, df_v, df_t) / n_cpi

@@ -14,12 +14,20 @@ subsets/permutations are unreachable whenever the counts are not powers of
 two.
 
 Unranking is arithmetic (no tables), so large M and P cost O(K log M) work.
+
+Radar-only operation draws a whole CPI at once
+(:func:`random_selection_sequence`): uniform random keys per pulse, argsorted,
+give an ordered K-subset of carriers and one of antennas, paired by slot.  The
+result is a :class:`SelectionSequence` of (N, K) arrays, which the radar chain
+reads through :func:`selection_arrays`; only indexing a pulse builds a
+:class:`PulseSelection`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +43,7 @@ __all__ = [
     "perm_unrank",
     "encode",
     "decode",
+    "SelectionSequence",
     "random_selection_sequence",
     "selection_arrays",
 ]
@@ -293,29 +302,120 @@ def decode(sel: PulseSelection, cfg: SystemConfig, mapping: MappingTable | None 
 # random draws
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class SelectionSequence:
+    """A CPI's selections as read-only (n_pulses, K) arrays, one row per pulse.
+
+    Row n is what ``self[n]`` returns as a :class:`PulseSelection`: carrier
+    ``carriers[n, k]`` radiated from element ``antennas[n, k]`` (sorted
+    along the row) with phase ``phases[n, k]`` (radians).  Only an integer
+    index builds a :class:`PulseSelection`; a slice keeps the arrays.
+    """
+
+    carriers: np.ndarray
+    antennas: np.ndarray
+    phases: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.carriers, self.antennas, self.phases):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.carriers)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SelectionSequence(
+                self.carriers[index], self.antennas[index], self.phases[index]
+            )
+        n = operator.index(index)
+        return PulseSelection(
+            carriers=tuple(self.carriers[n].tolist()),
+            antennas=tuple(self.antennas[n].tolist()),
+            phases=tuple(self.phases[n].tolist()),
+        )
+
+    def __iter__(self):
+        return (self[n] for n in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SelectionSequence):
+            return NotImplemented
+        return (
+            np.array_equal(self.carriers, other.carriers)
+            and np.array_equal(self.antennas, other.antennas)
+            and np.array_equal(self.phases, other.phases)
+        )
+
+    __hash__ = None
+
+
+# random keys drawn at once: bounds the keys and their argsort to 2 MiB each
+_KEY_BLOCK = 1 << 18
+
+
+def _key_blocks(rng: np.random.Generator, rows: int, width: int, k: int):
+    """Yield ``(lo, picks)``: the first k of each row's argsort of
+    ``rng.random((rows, width))``, one (b, k) block of rows at a time.
+
+    Each row's picks are a uniformly random ordered k-subset of
+    range(width).  ``Generator.random`` fills sequentially, so neither the
+    doubles nor the picks depend on the block size.
+    """
+    step = max(1, _KEY_BLOCK // width)
+    for lo in range(0, rows, step):
+        keys = rng.random((min(step, rows - lo), width))
+        yield lo, np.argsort(keys, axis=-1)[:, :k]
+
+
+def _key_picks(rng: np.random.Generator, rows: int, width: int, k: int,
+               dtype=np.int64) -> np.ndarray:
+    """All (rows, k) picks of :func:`_key_blocks`, stored as ``dtype``."""
+    out = np.empty((rows, k), dtype=dtype)
+    for lo, picks in _key_blocks(rng, rows, width, k):
+        out[lo:lo + len(picks)] = picks
+    return out
+
+
 def random_selection_sequence(
     cfg: SystemConfig,
     rng: np.random.Generator,
     n_pulses: int | None = None,
-) -> list[PulseSelection]:
+) -> SelectionSequence:
     """Draw one selection per pulse for a CPI.
 
     Every K-subset, pairing and phase is equally likely, i.e. the radar sees
     the full selection space including combinations the codec cannot reach.
+    The draw takes the carrier keys (n, M), then the antenna keys (n, P),
+    then the PSK indices (n, K); the two picks are paired by slot and each
+    pulse is sorted by antenna.
     """
-    n = cfg.N if n_pulses is None else int(n_pulses)
-    out = []
-    for _ in range(n):
-        carriers_sorted = sorted(int(m) for m in rng.choice(cfg.M, size=cfg.K, replace=False))
-        antennas = tuple(sorted(int(p) for p in rng.choice(cfg.P, size=cfg.K, replace=False)))
-        pi = rng.permutation(cfg.K)
-        carriers = tuple(carriers_sorted[pi[k]] for k in range(cfg.K))
-        phases = tuple(2.0 * math.pi * int(j) / cfg.J for j in rng.integers(0, cfg.J, cfg.K))
-        out.append(PulseSelection(carriers=carriers, antennas=antennas, phases=phases))
-    return out
+    try:
+        n = cfg.N if n_pulses is None else operator.index(n_pulses)
+    except TypeError:
+        raise ValueError(f"n_pulses must be an integer, got {n_pulses!r}") from None
+    if n < 0:
+        raise ValueError(f"n_pulses must be non-negative, got {n}")
+    m_sel = _key_picks(rng, n, cfg.M, cfg.K)
+    p_sel = _key_picks(rng, n, cfg.P, cfg.K)
+    pm = rng.integers(0, cfg.J, (n, cfg.K))
+    order = np.argsort(p_sel, axis=-1)
+    return SelectionSequence(
+        carriers=np.take_along_axis(m_sel, order, axis=-1),
+        antennas=np.take_along_axis(p_sel, order, axis=-1),
+        phases=2.0 * math.pi * pm / cfg.J,
+    )
 
-def selection_arrays(selections: list[PulseSelection]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a CPI's selections into (N, K) carrier and antenna index arrays."""
+def selection_arrays(
+    selections: SelectionSequence | list[PulseSelection],
+) -> tuple[np.ndarray, np.ndarray]:
+    """A CPI's (N, K) carrier and antenna index arrays.
+
+    A :class:`SelectionSequence` passes its arrays through; a list of
+    :class:`PulseSelection` is stacked.
+    """
+    if isinstance(selections, SelectionSequence):
+        return selections.carriers, selections.antennas
     m_idx = np.array([s.carriers for s in selections], dtype=np.int64)
     p_idx = np.array([s.antennas for s in selections], dtype=np.int64)
     return m_idx, p_idx

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .im_codec import PulseSelection, selection_arrays
+from .im_codec import PulseSelection, SelectionSequence, selection_arrays
 
 __all__ = [
     "Target",
@@ -142,7 +142,7 @@ def unit_echo_alpha(r: float, phase: float, cfg: SystemConfig) -> complex:
     return np.exp(1j * (phase + 4.0 * np.pi * r * cfg.f_c / cfg.c)) / cfg.G
 
 
-def steering_rows(selections: list[PulseSelection], cfg: SystemConfig):
+def steering_rows(selections: SelectionSequence | list[PulseSelection], cfg: SystemConfig):
     """Row model of one CPI: (m, xi, n, virt), each of shape (N, K, Q_r).
 
     Entry (n, k, q_r) holds the carrier index m, its frequency ratio xi, the
@@ -178,7 +178,7 @@ def _target_phase_terms(t: Target, cfg: SystemConfig):
 
 def simulate_fast_time(
     scene: list[Target],
-    selections: list[PulseSelection],
+    selections: SelectionSequence | list[PulseSelection],
     cfg: SystemConfig,
     sigma_r: float,
     rng: np.random.Generator | None = None,
@@ -225,7 +225,7 @@ def extract_cell(crrp: CrrpCube, g: int) -> CellSnapshot:
 
 def simulate_cell_direct(
     scene: list[Target],
-    selections: list[PulseSelection],
+    selections: SelectionSequence | list[PulseSelection],
     cfg: SystemConfig,
     sigma_r: float,
     rng: np.random.Generator | None = None,

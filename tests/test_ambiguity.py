@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frac.im_codec
 from frac.ambiguity import dirichlet, expected_af, instantaneous_af, mc_mean_af
 from frac.config import reference_config
 from frac.im_codec import random_selection_sequence, selection_arrays
@@ -257,3 +258,31 @@ def test_mc_peak_memory_at_criterion_03_size(cfg):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_mc_peak_memory_at_one_point(cfg):
+    # at one point the default chunk takes all 4*10^4 CPIs at once; holding
+    # their (CPI, N, M) and (CPI, N, P) keys and argsorts peaked at 157 MiB,
+    # while the carrier picks and one block of keys take a few MiB
+    z = np.zeros(1)
+    tracemalloc.start()
+    try:
+        mc_mean_af(cfg, z + 0.1, z, z, n_cpi=40_000, rng=np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_key_blocks_do_not_change_the_draws(cfg, monkeypatch, block):
+    # Generator.random fills sequentially, so drawing the keys in blocks of
+    # any size leaves every seeded draw as it is
+    pts = np.linspace(-0.4, 0.4, 3)
+    zeros = np.zeros_like(pts)
+    whole = mc_mean_af(cfg, pts, zeros, zeros, n_cpi=50, rng=np.random.default_rng(9), chunk=20)
+    sels = random_selection_sequence(cfg, np.random.default_rng(9))
+    monkeypatch.setattr(frac.im_codec, "_KEY_BLOCK", block)
+    blocked = mc_mean_af(cfg, pts, zeros, zeros, n_cpi=50, rng=np.random.default_rng(9), chunk=20)
+    np.testing.assert_array_equal(blocked, whole)
+    assert random_selection_sequence(cfg, np.random.default_rng(9)) == sels

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from frac.config import reference_config
-from frac.im_codec import random_selection_sequence
+from frac.im_codec import random_selection_sequence, selection_arrays
 from frac.radar_recovery import build_dictionary
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "fracbench"
@@ -63,6 +63,19 @@ def test_dictionary_takes_the_selections_first(monkeypatch):
     want = np.array([[checks.steering_entry(cfg, sels, r, c) for c in range(cfg.n2)]
                      for r in range(cfg.n1)])
     np.testing.assert_allclose(A, want, rtol=0, atol=1e-12)
+
+
+def test_selections_read_by_the_steering_model():
+    # checks.steering_entry reads len(selections), selections[n].carriers[k]
+    # and selections[n].antennas[k] of what random_selection_sequence returns
+    cfg = reference_config(N=4, M=4, K=2, P=2, Q_r=2)
+    sels = random_selection_sequence(cfg, np.random.default_rng(0))
+    assert len(sels) == cfg.N
+    m_idx, p_idx = selection_arrays(sels)
+    for n in range(cfg.N):
+        for k in range(cfg.K):
+            assert sels[n].carriers[k] == m_idx[n, k] and type(sels[n].carriers[k]) is int
+            assert sels[n].antennas[k] == p_idx[n, k] and type(sels[n].antennas[k]) is int
 
 
 def test_dense_dictionary_view_is_formed_once():

@@ -10,7 +10,8 @@ import pytest
 
 from frac import cli
 from frac.config import reference_config
-from frac.harness import snap_to_grid
+from frac.harness import run_hit_rate, snap_to_grid
+from frac.im_codec import PulseSelection, random_selection_sequence
 from frac.radar_recovery import NonConvergenceError
 from frac.radar_sim import load_cube
 
@@ -207,8 +208,40 @@ def test_hit_rate_csv_and_worker_invariance(tmp_path):
     assert cli.main(base + ["--workers", "2", "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
     _, rows = _read_csv(out1)
-    assert float(rows[0]["hit_rate"]) == 1.0
+    # the CSV reports the library's count for the same draws, whatever they
+    # give: the tiny config's OMP misses about 5 % of CPIs even without noise
+    cfg = reference_config(N=8, M=4, P=2, Q_r=1, K=2)
+    (want,) = run_hit_rate(cfg, [30.0], trials=6, seed=cfg.seed)
+    assert int(rows[0]["hits"]) == want.hits
+    assert float(rows[0]["hit_rate"]) == pytest.approx(want.hits / 6)
     assert int(rows[0]["trials"]) == 6
+
+
+def test_radar_trials_build_no_pulse_selection(tmp_path, monkeypatch):
+    # the hit-rate and phase-transition trials carry each CPI's selections as
+    # arrays from the draw to the dictionary and the echo; one PulseSelection
+    # per pulse used to cost more than the whole draw
+    built = []
+    check = PulseSelection.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PulseSelection, "__post_init__", counting)
+    out = str(tmp_path / "out.csv")
+    for argv in (
+        ["radar-hit-rate", "--snr", "10", "--trials", "2"],
+        ["radar-hit-rate", "--scene", "random", "--n-targets", "2", "--snr", "10",
+         "--trials", "2"],
+        ["phase-transition", "--mode", "empirical", "--variants", "base",
+         "--l-values", "2", "--trials", "2"],
+    ):
+        assert cli.main(argv + TINY + ["--out", out]) == 0
+    assert built == []
+    # the counter does see a selection that is built
+    random_selection_sequence(reference_config(K=2), np.random.default_rng(0))[0]
+    assert len(built) == 1
 
 
 def test_recovery_map_default_scene(tmp_path):

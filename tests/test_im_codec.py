@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from frac.config import ConfigError, reference_config
 from frac.im_codec import (
     MappingTable,
     PulseSelection,
+    SelectionSequence,
     comb_rank,
     comb_unrank,
     decode,
@@ -260,3 +262,90 @@ def test_random_sequence_deterministic():
     a = random_selection_sequence(cfg, np.random.default_rng(11))
     b = random_selection_sequence(cfg, np.random.default_rng(11))
     assert a == b
+
+
+def test_random_sequence_rejects_bad_pulse_counts():
+    cfg = reference_config(K=2)
+    for bad in (-1, 2.5, "3"):
+        with pytest.raises(ValueError, match="n_pulses"):
+            random_selection_sequence(cfg, np.random.default_rng(0), n_pulses=bad)
+    assert len(random_selection_sequence(cfg, np.random.default_rng(0), n_pulses=0)) == 0
+    assert len(random_selection_sequence(cfg, np.random.default_rng(0), n_pulses=np.int64(3))) == 3
+
+
+def test_selection_sequence_behaves_as_a_sequence():
+    cfg = reference_config(K=2)
+    sels = random_selection_sequence(cfg, np.random.default_rng(4))
+    assert isinstance(sels, SelectionSequence) and len(sels) == cfg.N
+    pulses = list(sels)
+    assert len(pulses) == cfg.N and all(type(p) is PulseSelection for p in pulses)
+    assert sels[-1] == pulses[-1] and sels[3] == pulses[3]
+    assert all(type(m) is int for m in sels[3].carriers + sels[3].antennas)
+    assert list(sels[2:5]) == pulses[2:5] and isinstance(sels[2:5], SelectionSequence)
+    # equality by value, not identity; the arrays cannot be changed in place
+    again = random_selection_sequence(cfg, np.random.default_rng(4))
+    assert sels == again and sels != random_selection_sequence(cfg, np.random.default_rng(5))
+    assert sels != pulses
+    with pytest.raises(ValueError):
+        sels.carriers[0, 0] = 0
+    with pytest.raises(IndexError):
+        sels[cfg.N]
+    # the adapter passes the arrays through and stacks a list of tuples
+    m_idx, p_idx = selection_arrays(sels)
+    assert m_idx is sels.carriers and p_idx is sels.antennas
+    m_list, p_list = selection_arrays(pulses)
+    np.testing.assert_array_equal(m_list, m_idx)
+    np.testing.assert_array_equal(p_list, p_idx)
+
+
+def _per_pulse_draw(cfg, rng, n):
+    """The draw this codec made before its selections became arrays: two
+    subsets without replacement, a permutation and J-ary phases per pulse."""
+    out = []
+    for _ in range(n):
+        carriers_sorted = sorted(int(m) for m in rng.choice(cfg.M, size=cfg.K, replace=False))
+        antennas = tuple(sorted(int(p) for p in rng.choice(cfg.P, size=cfg.K, replace=False)))
+        pi = rng.permutation(cfg.K)
+        carriers = tuple(carriers_sorted[pi[k]] for k in range(cfg.K))
+        phases = tuple(2.0 * math.pi * int(j) / cfg.J for j in rng.integers(0, cfg.J, cfg.K))
+        out.append(PulseSelection(carriers=carriers, antennas=antennas, phases=phases))
+    return out
+
+
+def _selection_cells(sels, cfg):
+    """Per pulse: carrier-set rank, antenna-set rank, pairing rank and the
+    PSK index of each slot, each as an index into its own range."""
+    rows = []
+    for sel in sels:
+        carriers_sorted = tuple(sorted(sel.carriers))
+        pairing = perm_rank(tuple(carriers_sorted.index(m) for m in sel.carriers))
+        psk = [round(phi * cfg.J / (2.0 * math.pi)) for phi in sel.phases]
+        rows.append([comb_rank(carriers_sorted, cfg.M), comb_rank(sel.antennas, cfg.P),
+                     pairing, *psk])
+    return np.array(rows)
+
+
+def test_random_sequence_is_uniform_and_matches_per_pulse_draw():
+    # every pulse's selection is uniform over carrier set x antenna set x
+    # pairing x K phases (576 cells here), so the array draw and the
+    # per-pulse draw it replaced have one distribution; a hit-rate gap
+    # between the two streams is then chance.  Derandomized: fixed seeds,
+    # and each chi-square p-value must exceed 1e-3
+    cfg = reference_config(M=4, K=2, P=3, J=4)
+    n = 20_000
+    sizes = [math.comb(cfg.M, cfg.K), math.comb(cfg.P, cfg.K), math.factorial(cfg.K)]
+    sizes += [cfg.J] * cfg.K
+    sels = random_selection_sequence(cfg, np.random.default_rng(2024), n_pulses=n)
+    assert (np.diff(sels.antennas, axis=1) > 0).all()
+    cells = _selection_cells(sels, cfg)
+    for col, size in enumerate(sizes):
+        counts = np.bincount(cells[:, col], minlength=size)
+        assert len(counts) == size
+        assert stats.chisquare(counts).pvalue > 1e-3, (col, counts)
+    joint = np.ravel_multi_index(cells.T, sizes)
+    new_counts = np.bincount(joint, minlength=math.prod(sizes))
+    assert stats.chisquare(new_counts).pvalue > 1e-3
+    old = _selection_cells(_per_pulse_draw(cfg, np.random.default_rng(2025), n), cfg)
+    old_counts = np.bincount(np.ravel_multi_index(old.T, sizes), minlength=math.prod(sizes))
+    table = np.array([new_counts, old_counts])
+    assert stats.chi2_contingency(table).pvalue > 1e-3
