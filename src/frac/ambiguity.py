@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SystemConfig
-from .im_codec import PulseSelection, SelectionSequence, _key_blocks, _key_picks, selection_arrays
+from .im_codec import SelectionSequence, _check_fit, _key_blocks, _key_picks
 
 __all__ = [
     "dirichlet",
@@ -83,14 +83,14 @@ def _chi_from_counts(
 
 def instantaneous_af(
     cfg: SystemConfig,
-    selections: SelectionSequence | list[PulseSelection],
+    selections: SelectionSequence,
     df_r,
     df_v,
     df_t,
 ) -> np.ndarray:
     """Complex chi of one CPI at broadcastable offset arrays."""
-    m_idx, p_idx = selection_arrays(selections)             # (N, K)
-    counts = _pair_counts(cfg, np.arange(cfg.N), m_idx, p_idx)
+    _check_fit(selections, cfg)
+    counts = _pair_counts(cfg, np.arange(cfg.N), selections.carriers, selections.antennas)
     return _chi_from_counts(cfg, counts, *_offsets(df_r, df_v, df_t))
 
 
@@ -116,6 +116,10 @@ def mc_mean_af(
     chunk: int | None = None,
 ) -> np.ndarray:
     """Complex mean of chi over ``n_cpi`` independent uniform selection draws."""
+    if n_cpi < 1:
+        raise ValueError(f"n_cpi must be at least 1, got {n_cpi}")
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     df_r, df_v, df_t = _offsets(df_r, df_v, df_t)
     if chunk is None:
         # the chunk sets how the draws split into rng calls, so the rule is

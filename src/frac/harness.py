@@ -183,7 +183,7 @@ def _hit_rate_trial(cfg: SystemConfig, sigmas: np.ndarray, rng: np.random.Genera
     ok = np.ones(len(sigmas), dtype=bool)
     for g, flats in sorted(_scene_truth(scene, cfg).items()):
         cell_scene = [t for t in scene if cell_index(t.r, cfg) == g]
-        clean = simulate_cell_direct(cell_scene, selections, cfg, 0.0, g=g).data
+        clean = simulate_cell_direct(cell_scene, selections, cfg, 0.0, g=g)
         noise = (
             rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
         ) / math.sqrt(2.0)
@@ -319,6 +319,8 @@ def run_recovery_map(
     """Recover a scene once; returns (true_rows, recovered_rows) in physical units."""
     if solver not in ("omp", "bp"):
         raise ValueError(f"solver must be 'omp' or 'bp', got {solver!r}")
+    if dump_cube_path is not None and not full_chain:
+        raise ValueError("a cube is only dumped from the full fast-time chain, not --direct")
     rng = np.random.default_rng([seed, _TAG_MAP])
     selections = random_selection_sequence(cfg, rng)
     sigma = 0.0 if snr_db is None else sigma_for_snr(cfg, snr_db)
@@ -343,7 +345,7 @@ def run_recovery_map(
     dic = build_dictionary(selections, cfg)
     recovered = []
     for g in sorted(cells):
-        y = snapshots[g].flatten()
+        y = snapshots[g].reshape(-1)
         if solver == "omp":
             sol = omp_recover(y, dic, n_targets=len(cells[g]))
         else:
@@ -393,45 +395,26 @@ def run_ambiguity(
         raise ValueError(f"points must be at least 1, got {points}")
     if mc_cpis < 0:
         raise ValueError(f"mc_cpis must be nonnegative, got {mc_cpis}")
+    if not math.isfinite(extent):
+        raise ValueError(f"extent must be finite, got {extent}")
     axes = {"range": 0, "velocity": 1, "angle": 2}
+    names = axis.split("-")
+    if len(names) > 2 or len(set(names)) < len(names) or not set(names) <= set(axes):
+        raise ValueError(
+            f"axis must be one of {list(axes)} or a pair of two of them like "
+            f"'range-velocity', got {axis!r}"
+        )
     offs = np.linspace(-extent / 2.0, extent / 2.0, points)
-    if axis in axes:
-        grid = [np.zeros(points)] * 3
-        grid[axes[axis]] = offs
-        queries = np.stack(np.broadcast_arrays(*grid), axis=0)
-    else:
-        try:
-            a1, a2 = axis.split("-")
-            i1, i2 = axes[a1], axes[a2]
-        except (ValueError, KeyError):
-            raise ValueError(
-                f"axis must be one of {list(axes)} or a pair like 'range-velocity', got {axis!r}"
-            ) from None
-        g1, g2 = np.meshgrid(offs, offs, indexing="ij")
-        grid = [np.zeros_like(g1)] * 3
-        grid[i1] = g1
-        grid[i2] = g2
-        queries = np.stack(grid, axis=0)
-    af = expected_af(cfg, *queries)
-    mc = None
+    queries = np.zeros((3,) + (points,) * len(names))
+    for name, grid in zip(names, np.meshgrid(*[offs] * len(names), indexing="ij")):
+        queries[axes[name]] = grid
+    columns = {"df_range": queries[0], "df_velocity": queries[1], "df_angle": queries[2],
+               "af_expected": expected_af(cfg, *queries)}
     if mc_cpis > 0:
         rng = np.random.default_rng([seed, 307])
-        mc = np.abs(mc_mean_af(cfg, *queries, n_cpi=mc_cpis, rng=rng))
-    rows = []
-    flat = [q.reshape(-1) for q in queries]
-    af_f = af.reshape(-1)
-    mc_f = mc.reshape(-1) if mc is not None else None
-    for i in range(af_f.size):
-        row = {
-            "df_range": flat[0][i],
-            "df_velocity": flat[1][i],
-            "df_angle": flat[2][i],
-            "af_expected": af_f[i],
-        }
-        if mc_f is not None:
-            row["af_mc"] = mc_f[i]
-        rows.append(row)
-    return rows
+        columns["af_mc"] = np.abs(mc_mean_af(cfg, *queries, n_cpi=mc_cpis, rng=rng))
+    values = zip(*(c.reshape(-1).tolist() for c in columns.values()))
+    return [dict(zip(columns, row)) for row in values]
 
 
 def run_phase_transition_theory(

@@ -15,12 +15,16 @@ two.
 
 Unranking is arithmetic (no tables), so large M and P cost O(K log M) work.
 
-Radar-only operation draws a whole CPI at once
+A CPI's selections are one :class:`SelectionSequence` of (N, K) arrays, the
+only form the radar chain takes; a :class:`PulseSelection` is one pulse at
+the codec and downlink boundary.  Radar-only operation draws a CPI at once
 (:func:`random_selection_sequence`): uniform random keys per pulse, argsorted,
-give an ordered K-subset of carriers and one of antennas, paired by slot.  The
-result is a :class:`SelectionSequence` of (N, K) arrays, which the radar chain
-reads through :func:`selection_arrays`; only indexing a pulse builds a
-:class:`PulseSelection`.
+give an ordered K-subset of carriers and one of antennas, paired by slot.
+Encoded message words stack into one::
+
+    pulses = [encode(word, cfg) for word in words]
+    sels = SelectionSequence([p.carriers for p in pulses], [p.antennas for p in pulses],
+                             [p.phases for p in pulses])
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ __all__ = [
     "decode",
     "SelectionSequence",
     "random_selection_sequence",
-    "selection_arrays",
 ]
 
 
@@ -222,6 +225,20 @@ def _check_selection(sel: PulseSelection, cfg: SystemConfig) -> None:
         raise ValueError(f"antenna index out of range(0, {cfg.P}): {sel.antennas}")
 
 
+def _check_fit(selections: SelectionSequence, cfg: SystemConfig) -> None:
+    """Raise unless ``selections`` is one CPI of ``cfg``: (N, K) arrays with
+    carriers in range(M) and antennas in range(P)."""
+    if not isinstance(selections, SelectionSequence):
+        raise TypeError(f"selections must be a SelectionSequence, not {type(selections).__name__}")
+    shape = selections.carriers.shape
+    if shape != (cfg.N, cfg.K):
+        raise ValueError(f"selections have shape {shape}, the config needs ({cfg.N}, {cfg.K})")
+    for name, a, size in (("carrier", selections.carriers, cfg.M),
+                          ("antenna", selections.antennas, cfg.P)):
+        if a.min() < 0 or a.max() >= size:
+            raise ValueError(f"{name} indices span {a.min()}..{a.max()}, outside range(0, {size})")
+
+
 # ----------------------------------------------------------------------
 # arithmetic codec
 # ----------------------------------------------------------------------
@@ -307,9 +324,10 @@ class SelectionSequence:
     """A CPI's selections as read-only (n_pulses, K) arrays, one row per pulse.
 
     Row n is what ``self[n]`` returns as a :class:`PulseSelection`: carrier
-    ``carriers[n, k]`` radiated from element ``antennas[n, k]`` (sorted
-    along the row) with phase ``phases[n, k]`` (radians).  Only an integer
-    index builds a :class:`PulseSelection`; a slice keeps the arrays.
+    ``carriers[n, k]`` radiated from element ``antennas[n, k]`` with phase
+    ``phases[n, k]`` (radians); a slice keeps the arrays.  The constructor
+    copies arrays or nested sequences of one 2-D shape, and rejects
+    non-integer indices and a carrier or antenna repeated within a pulse.
     """
 
     carriers: np.ndarray
@@ -317,23 +335,35 @@ class SelectionSequence:
     phases: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.carriers, self.antennas, self.phases):
+        carriers, antennas = np.asarray(self.carriers), np.asarray(self.antennas)
+        phases = np.array(self.phases, dtype=float)
+        if carriers.ndim != 2 or not carriers.shape == antennas.shape == phases.shape:
+            raise ValueError(
+                "carriers, antennas and phases must be 2-D arrays of one shape, got "
+                f"{carriers.shape}, {antennas.shape} and {phases.shape}"
+            )
+        for name, a in (("carrier", carriers), ("antenna", antennas)):
+            if a.dtype.kind not in "iu":
+                raise ValueError(f"{name} indices must be integers, got dtype {a.dtype}")
+            # a row of distinct indices matches itself only on the diagonal
+            same = a[:, :, None] == a[:, None, :]
+            if np.count_nonzero(same) != a.size:
+                n = int(np.flatnonzero(same.sum(axis=(1, 2)) > a.shape[1])[0])
+                raise ValueError(f"{name} indices repeat within pulse {n}: {a[n].tolist()}")
+        arrays = (carriers.astype(np.int64), antennas.astype(np.int64), phases)
+        for name, a in zip(("carriers", "antennas", "phases"), arrays):
             a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return len(self.carriers)
 
     def __getitem__(self, index):
+        arrays = (self.carriers, self.antennas, self.phases)
         if isinstance(index, slice):
-            return SelectionSequence(
-                self.carriers[index], self.antennas[index], self.phases[index]
-            )
+            return SelectionSequence(*(a[index] for a in arrays))
         n = operator.index(index)
-        return PulseSelection(
-            carriers=tuple(self.carriers[n].tolist()),
-            antennas=tuple(self.antennas[n].tolist()),
-            phases=tuple(self.phases[n].tolist()),
-        )
+        return PulseSelection(*(tuple(a[n].tolist()) for a in arrays))
 
     def __iter__(self):
         return (self[n] for n in range(len(self)))
@@ -341,11 +371,8 @@ class SelectionSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SelectionSequence):
             return NotImplemented
-        return (
-            np.array_equal(self.carriers, other.carriers)
-            and np.array_equal(self.antennas, other.antennas)
-            and np.array_equal(self.phases, other.phases)
-        )
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("carriers", "antennas", "phases"))
 
     __hash__ = None
 
@@ -405,17 +432,3 @@ def random_selection_sequence(
         antennas=np.take_along_axis(p_sel, order, axis=-1),
         phases=2.0 * math.pi * pm / cfg.J,
     )
-
-def selection_arrays(
-    selections: SelectionSequence | list[PulseSelection],
-) -> tuple[np.ndarray, np.ndarray]:
-    """A CPI's (N, K) carrier and antenna index arrays.
-
-    A :class:`SelectionSequence` passes its arrays through; a list of
-    :class:`PulseSelection` is stacked.
-    """
-    if isinstance(selections, SelectionSequence):
-        return selections.carriers, selections.antennas
-    m_idx = np.array([s.carriers for s in selections], dtype=np.int64)
-    p_idx = np.array([s.antennas for s in selections], dtype=np.int64)
-    return m_idx, p_idx

@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import SystemConfig
-from .im_codec import PulseSelection, SelectionSequence
+from .im_codec import SelectionSequence
 from .radar_sim import cell_center, steering_rows
 
 __all__ = [
@@ -175,9 +175,7 @@ class RecoveredTarget:
     cell: int
 
 
-def build_dictionary(
-    selections: SelectionSequence | list[PulseSelection], cfg: SystemConfig
-) -> Dictionary:
+def build_dictionary(selections: SelectionSequence, cfg: SystemConfig) -> Dictionary:
     """Steering dictionary for the selections of one CPI, as its three tables.
 
     Rows follow the snapshot layout n*K*Q_r + k*Q_r + q_r; columns follow

@@ -15,6 +15,12 @@ sit at coarse-cell centers:
 * :func:`simulate_cell_direct` writes the post-compression snapshot of one
   coarse cell directly.
 
+A CPI's selections enter as one :class:`~frac.im_codec.SelectionSequence`,
+checked against the config, and a cube keeps it.  A cell snapshot, from
+either path (:func:`extract_cell` or :func:`simulate_cell_direct`), is a
+plain (N, K, Q_r) array; ``reshape(-1)`` gives the recovery vector, whose
+index is n*K*Q_r + k*Q_r + q_r.
+
 Fast-time samples are placed at multiples of T_p / G (the G ADC samples span
 the chirp), so a scatterer at the center of cell g lands exactly on IDFT bin
 g for every g; off-center ranges straddle bins and leak, which is physical.
@@ -36,13 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .im_codec import PulseSelection, SelectionSequence, selection_arrays
+from .im_codec import SelectionSequence, _check_fit
 
 __all__ = [
     "Target",
     "FastTimeCube",
     "CrrpCube",
-    "CellSnapshot",
     "steering_rows",
     "cell_index",
     "cell_center",
@@ -71,34 +76,21 @@ class Target:
 
 
 @dataclass(frozen=True)
-class FastTimeCube:
-    """De-chirped samples, shape (N, K, Q_r, G)."""
+class _Cube:
+    """Samples of shape (N, K, Q_r, G), with the CPI's selections as drawn."""
 
     data: np.ndarray
-    selections: tuple[PulseSelection, ...]
+    selections: SelectionSequence
     cfg: SystemConfig
     sigma_r: float
 
 
-@dataclass(frozen=True)
-class CrrpCube:
-    """Pulse-compressed samples, shape (N, K, Q_r, G); last axis is the coarse cell."""
-
-    data: np.ndarray
-    selections: tuple[PulseSelection, ...]
-    cfg: SystemConfig
-    sigma_r: float
+class FastTimeCube(_Cube):
+    """De-chirped samples; the last axis is fast time."""
 
 
-@dataclass(frozen=True)
-class CellSnapshot:
-    """One coarse cell's slow-time/carrier/receiver snapshot, shape (N, K, Q_r)."""
-
-    data: np.ndarray
-
-    def flatten(self) -> np.ndarray:
-        """Row-major vector, index n*K*Q_r + k*Q_r + q_r."""
-        return self.data.reshape(-1)
+class CrrpCube(_Cube):
+    """Pulse-compressed samples; the last axis is the coarse cell."""
 
 
 def cell_index(r: float, cfg: SystemConfig) -> int:
@@ -142,15 +134,14 @@ def unit_echo_alpha(r: float, phase: float, cfg: SystemConfig) -> complex:
     return np.exp(1j * (phase + 4.0 * np.pi * r * cfg.f_c / cfg.c)) / cfg.G
 
 
-def steering_rows(selections: SelectionSequence | list[PulseSelection], cfg: SystemConfig):
+def steering_rows(selections: SelectionSequence, cfg: SystemConfig):
     """Row model of one CPI: (m, xi, n, virt), each of shape (N, K, Q_r).
 
     Entry (n, k, q_r) holds the carrier index m, its frequency ratio xi, the
     pulse index n and the virtual element Q_r p + q_r of that snapshot row.
     """
-    if len(selections) != cfg.N:
-        raise ValueError(f"need {cfg.N} selections, got {len(selections)}")
-    m_idx, p_idx = selection_arrays(selections)         # (N, K)
+    _check_fit(selections, cfg)
+    m_idx, p_idx = selections.carriers, selections.antennas     # (N, K)
     shape = (cfg.N, cfg.K, cfg.Q_r)
     xi = (cfg.f_c + m_idx * cfg.delta_f) / cfg.f_c
     virt = cfg.Q_r * p_idx[:, :, None] + np.arange(cfg.Q_r)
@@ -176,9 +167,17 @@ def _target_phase_terms(t: Target, cfg: SystemConfig):
     return alpha_tilde, f_r_full, f_v, f_theta
 
 
+def _add_noise(data: np.ndarray, sigma_r: float, std: float, rng) -> None:
+    """Add complex Gaussian noise, ``std`` per real part, in place when sigma_r > 0."""
+    if sigma_r > 0.0:
+        if rng is None:
+            raise ValueError("rng is required when sigma_r > 0")
+        data += std * (rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape))
+
+
 def simulate_fast_time(
     scene: list[Target],
-    selections: SelectionSequence | list[PulseSelection],
+    selections: SelectionSequence,
     cfg: SystemConfig,
     sigma_r: float,
     rng: np.random.Generator | None = None,
@@ -199,39 +198,39 @@ def simulate_fast_time(
             + xi * (f_v * n + f_theta * virt)
         )
         data += alpha_tilde * np.exp(-2j * np.pi * phase)
-    if sigma_r > 0.0:
-        if rng is None:
-            raise ValueError("rng is required when sigma_r > 0")
-        scale = np.sqrt(sigma_r**2 / cfg.G / 2.0)
-        data += scale * (
-            rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
-        )
-    return FastTimeCube(data=data, selections=tuple(selections), cfg=cfg, sigma_r=sigma_r)
+    _add_noise(data, sigma_r, np.sqrt(sigma_r**2 / cfg.G / 2.0), rng)
+    return FastTimeCube(data=data, selections=selections, cfg=cfg, sigma_r=sigma_r)
 
 
 def pulse_compress(cube: FastTimeCube) -> CrrpCube:
     """Unnormalized IDFT over fast time: y[g] = sum_gt ytilde[gt] e^{+2j pi gt g / G}."""
+    if not isinstance(cube, FastTimeCube):
+        raise ValueError(f"pulse_compress takes a FastTimeCube, got {type(cube).__name__}")
     data = cube.cfg.G * np.fft.ifft(cube.data, axis=-1)
     return CrrpCube(
         data=data, selections=cube.selections, cfg=cube.cfg, sigma_r=cube.sigma_r
     )
 
 
-def extract_cell(crrp: CrrpCube, g: int) -> CellSnapshot:
+def extract_cell(crrp: CrrpCube, g: int) -> np.ndarray:
+    """Coarse cell g of a pulse-compressed cube, shape (N, K, Q_r)."""
+    if not isinstance(crrp, CrrpCube):
+        raise ValueError(f"extract_cell takes a CrrpCube, got {type(crrp).__name__}")
     if not 0 <= g < crrp.cfg.G:
         raise ValueError(f"cell {g} out of range(0, {crrp.cfg.G})")
-    return CellSnapshot(data=np.ascontiguousarray(crrp.data[..., g]))
+    return np.ascontiguousarray(crrp.data[..., g])
 
 
 def simulate_cell_direct(
     scene: list[Target],
-    selections: SelectionSequence | list[PulseSelection],
+    selections: SelectionSequence,
     cfg: SystemConfig,
     sigma_r: float,
     rng: np.random.Generator | None = None,
     g: int | None = None,
-) -> CellSnapshot:
-    """Post-compression snapshot of one coarse cell, written directly.
+) -> np.ndarray:
+    """Post-compression snapshot of one coarse cell, shape (N, K, Q_r),
+    written directly.
 
     Every target must fall in cell ``g`` (defaults to the cell of the first
     target).
@@ -256,14 +255,8 @@ def simulate_cell_direct(
         f_r = 2.0 * delta_r * cfg.delta_f / cfg.c
         phase = m * f_r + xi * (f_v * n + f_theta * virt)
         data += beta * np.exp(-2j * np.pi * phase)
-    if sigma_r > 0.0:
-        if rng is None:
-            raise ValueError("rng is required when sigma_r > 0")
-        scale = sigma_r / np.sqrt(2.0)
-        data += scale * (
-            rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
-        )
-    return CellSnapshot(data=data)
+    _add_noise(data, sigma_r, sigma_r / np.sqrt(2.0), rng)
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +273,10 @@ def save_cube(path, cube: FastTimeCube | CrrpCube) -> None:
         "sigma_r": cube.sigma_r,
         "config": cube.cfg.to_dict(),
         "selections": [
-            {"carriers": list(s.carriers), "antennas": list(s.antennas),
-             "phases": list(s.phases)}
-            for s in cube.selections
+            {"carriers": m, "antennas": p, "phases": ph}
+            for m, p, ph in zip(cube.selections.carriers.tolist(),
+                                cube.selections.antennas.tolist(),
+                                cube.selections.phases.tolist())
         ],
     }
     blob = json.dumps(header).encode()
@@ -316,12 +310,17 @@ def load_cube(path) -> FastTimeCube | CrrpCube:
     cfg = SystemConfig.from_dict(header["config"])
     if cfg.config_hash() != header["config_hash"]:
         raise ValueError(f"{path}: config hash mismatch")
-    selections = tuple(
-        PulseSelection(
-            carriers=tuple(s["carriers"]),
-            antennas=tuple(s["antennas"]),
-            phases=tuple(s["phases"]),
+    if dims != (cfg.N, cfg.K, cfg.Q_r, cfg.G):
+        raise ValueError(
+            f"{path}: dims {list(dims)} do not match (N, K, Q_r, G) = "
+            f"{[cfg.N, cfg.K, cfg.Q_r, cfg.G]} of its config"
         )
-        for s in header["selections"]
-    )
+    rows = header["selections"]
+    try:
+        selections = SelectionSequence(
+            *(np.array([s[key] for s in rows]) for key in ("carriers", "antennas", "phases"))
+        )
+        _check_fit(selections, cfg)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return cls(data=data, selections=selections, cfg=cfg, sigma_r=header["sigma_r"])

@@ -273,14 +273,14 @@ def test_criterion_11_property_suite(capsys):
             [Target(r=r, v=v, theta=theta)], sels, cfg, sigma_r=0.0, g=2
         )
         beta = cfg.G * np.exp(-4j * np.pi * r * cfg.f_c / cfg.c)
-        errs.append(np.abs(snap.data.reshape(-1) - beta * dic.A[:, flat]).max() / cfg.G)
+        errs.append(np.abs(snap.reshape(-1) - beta * dic.A[:, flat]).max() / cfg.G)
     checks.append(max(errs) <= 1e-9)
 
     # fast-time chain equals the direct cell model at the coarse center
     scene = [Target(r=cell_center(2, cfg), v=3.0, theta=0.2, alpha=0.5 - 1j)]
     cube = simulate_fast_time(scene, sels, cfg, sigma_r=0.0)
-    a = extract_cell(pulse_compress(cube), 2).data
-    b = simulate_cell_direct(scene, sels, cfg, sigma_r=0.0, g=2).data
+    a = extract_cell(pulse_compress(cube), 2)
+    b = simulate_cell_direct(scene, sels, cfg, sigma_r=0.0, g=2)
     checks.append(np.abs(a - b).max() <= 1e-9 * np.abs(b).max())
 
     # closed-form transition integral against numerical quadrature

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import frac.im_codec
 from frac.ambiguity import dirichlet, expected_af, instantaneous_af, mc_mean_af
 from frac.config import reference_config
-from frac.im_codec import random_selection_sequence, selection_arrays
+from frac.im_codec import random_selection_sequence
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,16 @@ def test_instantaneous_conjugate_symmetry(cfg):
     chi_p = instantaneous_af(cfg, sels, *offs)
     chi_m = instantaneous_af(cfg, sels, *(-offs))
     np.testing.assert_allclose(chi_m, chi_p.conj(), atol=1e-9)
+
+
+def test_instantaneous_rejects_selections_off_the_config(cfg):
+    # K=2 rows used to fail inside numpy's broadcasting, and an M=16 draw
+    # inside a reshape; both now stop at the fit check
+    for other, message in ((cfg.replace(K=2), r"shape \(32, 2\)"),
+                           (cfg.replace(M=16), r"carrier indices span .* range\(0, 8\)")):
+        sels = random_selection_sequence(other, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            instantaneous_af(cfg, sels, 0.0, 0.0, 0.0)
 
 
 def test_expected_af_peak_and_nulls(cfg):
@@ -127,6 +137,21 @@ def test_mc_chunking_covers_all_draws(cfg):
         assert got == pytest.approx(peak, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_cpi, chunk, message", [
+    (0, None, "n_cpi"),
+    (-2, 4, "n_cpi"),
+    (8, 0, "chunk"),
+    (8, -1, "chunk"),
+])
+def test_mc_rejects_bad_counts_before_drawing(cfg, n_cpi, chunk, message):
+    # chunk=0 used to loop forever and n_cpi=0 to return nan
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        mc_mean_af(cfg, 0.0, 0.0, 0.0, n_cpi=n_cpi, rng=rng, chunk=chunk)
+    assert rng.bit_generator.state == state
+
+
 def test_mc_deterministic_for_fixed_seed(cfg):
     pts = np.linspace(-0.4, 0.4, 5)
     zeros = np.zeros_like(pts)
@@ -188,7 +213,7 @@ def _dense_mc_mean_af(cfg, df_r, df_v, df_t, n_cpi, rng, chunk=None):
 
 def _loop_instantaneous_af(cfg, selections, df_r, df_v, df_t):
     """Reference: the defining sum over pulses n, slots k and receivers q_r."""
-    m_idx, p_idx = selection_arrays(selections)
+    m_idx, p_idx = selections.carriers, selections.antennas
     chi = 0.0
     for n in range(cfg.N):
         for k in range(cfg.K):

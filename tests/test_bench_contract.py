@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from frac.config import reference_config
-from frac.im_codec import random_selection_sequence, selection_arrays
+from frac.im_codec import random_selection_sequence
 from frac.radar_recovery import build_dictionary
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "fracbench"
@@ -71,7 +71,7 @@ def test_selections_read_by_the_steering_model():
     cfg = reference_config(N=4, M=4, K=2, P=2, Q_r=2)
     sels = random_selection_sequence(cfg, np.random.default_rng(0))
     assert len(sels) == cfg.N
-    m_idx, p_idx = selection_arrays(sels)
+    m_idx, p_idx = sels.carriers, sels.antennas
     for n in range(cfg.N):
         for k in range(cfg.K):
             assert sels[n].carriers[k] == m_idx[n, k] and type(sels[n].carriers[k]) is int

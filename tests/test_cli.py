@@ -406,6 +406,30 @@ def test_bad_grid_or_count_exits_2_naming_the_flag(argv, flag, tmp_path, capsys)
     assert not out.exists()
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("simulation started")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["recovery-map", "--direct", "--dump-cube", "CUBE"] + TINY, "--direct"),
+    (["ambiguity", "--axis", "range-range"], "pair of two"),
+    (["ambiguity", "--axis", "angle-angle", "--mc", "3"], "pair of two"),
+    (["ambiguity", "--extent", "nan"], "extent must be finite"),
+    (["ambiguity", "--extent", "inf", "--mc", "3"], "extent must be finite"),
+])
+def test_ignored_or_wrong_inputs_exit_2_before_simulating(argv, message, tmp_path,
+                                                          monkeypatch, capsys):
+    # these used to exit 0: no cube written, a 1-D cut repeated as a plane,
+    # rows of nan
+    for name in ("random_selection_sequence", "expected_af", "mc_mean_af"):
+        monkeypatch.setattr(f"frac.harness.{name}", _never_called)
+    cube, out = tmp_path / "cube.frc", tmp_path / "out.csv"
+    argv = [str(cube) if a == "CUBE" else a for a in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not cube.exists() and not out.exists()
+
+
 @pytest.mark.parametrize("command, schemes, message", [
     ("comm-ber", "frac-ml,frac-ml", "scheme 'frac-ml' is repeated"),
     ("comm-ber", ",", "scheme list is empty"),

@@ -22,7 +22,6 @@ from frac.im_codec import (
     perm_rank,
     perm_unrank,
     random_selection_sequence,
-    selection_arrays,
 )
 
 
@@ -232,7 +231,7 @@ def test_random_sequence_shapes_and_validity():
     rng = np.random.default_rng(0)
     sels = random_selection_sequence(cfg, rng)
     assert len(sels) == cfg.N
-    m_idx, p_idx = selection_arrays(sels)
+    m_idx, p_idx = sels.carriers, sels.antennas
     phases = np.array([s.phases for s in sels])
     assert m_idx.shape == p_idx.shape == phases.shape == (cfg.N, cfg.K)
     assert m_idx.min() >= 0 and m_idx.max() < cfg.M
@@ -290,12 +289,39 @@ def test_selection_sequence_behaves_as_a_sequence():
         sels.carriers[0, 0] = 0
     with pytest.raises(IndexError):
         sels[cfg.N]
-    # the adapter passes the arrays through and stacks a list of tuples
-    m_idx, p_idx = selection_arrays(sels)
-    assert m_idx is sels.carriers and p_idx is sels.antennas
-    m_list, p_list = selection_arrays(pulses)
-    np.testing.assert_array_equal(m_list, m_idx)
-    np.testing.assert_array_equal(p_list, p_idx)
+
+
+def test_selection_sequence_copies_its_inputs():
+    m = np.array([[0, 3], [2, 1]])
+    p = np.array([[0, 1], [1, 2]])
+    ph = np.zeros((2, 2))
+    sels = SelectionSequence(m, p, ph)
+    assert m.flags.writeable and p.flags.writeable and ph.flags.writeable
+    m[0, 0] = 5
+    assert sels.carriers[0, 0] == 0 and not sels.carriers.flags.writeable
+    # nested lists, e.g. the fields of encoded words, are accepted
+    cfg = reference_config(K=2)
+    pulses = [encode(format(w, f"0{cfg.n_total_bits}b"), cfg) for w in (0, 5, 9)]
+    stacked = SelectionSequence(
+        carriers=[s.carriers for s in pulses],
+        antennas=[s.antennas for s in pulses],
+        phases=[s.phases for s in pulses],
+    )
+    assert list(stacked) == pulses
+    assert stacked.carriers.dtype == stacked.antennas.dtype == np.int64
+
+
+@pytest.mark.parametrize("carriers, antennas, phases, message", [
+    ([0, 1], [0, 1], [0.0, 0.0], "2-D"),
+    ([[0, 1]], [[0, 1], [1, 2]], [[0.0, 0.0]], "one shape"),
+    ([[0, 1]], [[0, 1]], [[0.0]], "one shape"),
+    ([[0, 1], [2, 2]], [[0, 1], [0, 1]], np.zeros((2, 2)), "carrier indices repeat within pulse 1"),
+    ([[0, 1]], [[3, 3]], [[0.0, 0.0]], "antenna indices repeat within pulse 0"),
+    ([[0.0, 1.5]], [[0, 1]], [[0.0, 0.0]], "carrier indices must be integers"),
+])
+def test_selection_sequence_rejects_malformed_arrays(carriers, antennas, phases, message):
+    with pytest.raises(ValueError, match=message):
+        SelectionSequence(carriers, antennas, phases)
 
 
 def _per_pulse_draw(cfg, rng, n):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from frac.config import reference_config
-from frac.im_codec import random_selection_sequence, selection_arrays
+from frac.im_codec import random_selection_sequence
 from frac.radar_recovery import (
     MAX_DICTIONARY_ELEMENTS,
     OMP_TIE_RTOL,
@@ -80,7 +80,7 @@ def test_columns_match_generator(cfg, selections, dic):
 
 def _dense_dictionary_reference(selections, cfg):
     """One complex exponential per dictionary entry over the full phase grid."""
-    m_idx, p_idx = selection_arrays(selections)
+    m_idx, p_idx = selections.carriers, selections.antennas
     xi = (cfg.f_c + m_idx * cfg.delta_f) / cfg.f_c
     qr = np.arange(cfg.Q_r)
     m_row = np.repeat(m_idx, cfg.Q_r).astype(float)

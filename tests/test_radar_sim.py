@@ -1,10 +1,14 @@
 """Echo synthesis: the two generation paths, noise bookkeeping, cube files."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from frac.config import reference_config
-from frac.im_codec import random_selection_sequence
+from frac.im_codec import SelectionSequence, random_selection_sequence
+from frac.radar_recovery import build_dictionary
 from frac.radar_sim import (
     Target,
     cell_center,
@@ -69,8 +73,10 @@ def test_paths_agree_noiseless(cfg, selections):
     cube = simulate_fast_time(scene, selections, cfg, sigma_r=0.0)
     snap_a = extract_cell(pulse_compress(cube), g)
     snap_b = simulate_cell_direct(scene, selections, cfg, sigma_r=0.0, g=g)
-    scale = np.abs(snap_b.data).max()
-    np.testing.assert_allclose(snap_a.data, snap_b.data, atol=1e-10 * scale)
+    assert type(snap_a) is type(snap_b) is np.ndarray
+    assert snap_a.shape == snap_b.shape == (cfg.N, cfg.K, cfg.Q_r)
+    scale = np.abs(snap_b).max()
+    np.testing.assert_allclose(snap_a, snap_b, atol=1e-10 * scale)
 
 
 def test_off_center_range_leaks_by_dirichlet_factor(cfg, selections):
@@ -84,7 +90,7 @@ def test_off_center_range_leaks_by_dirichlet_factor(cfg, selections):
     snap_b = simulate_cell_direct(scene, selections, cfg, sigma_r=0.0, g=g)
     delta = delta_r / cfg.coarse_cell_width
     leak = np.exp(-2j * np.pi * delta * np.arange(cfg.G) / cfg.G).sum() / cfg.G
-    np.testing.assert_allclose(snap_a.data, snap_b.data * leak, atol=1e-10)
+    np.testing.assert_allclose(snap_a, snap_b * leak, atol=1e-10)
 
 
 def test_unit_echo_alpha(cfg, selections):
@@ -92,7 +98,7 @@ def test_unit_echo_alpha(cfg, selections):
     scene = [Target(r=r, v=0.0, theta=0.0, alpha=unit_echo_alpha(r, 0.3, cfg))]
     snap = simulate_cell_direct(scene, selections, cfg, sigma_r=0.0, g=3)
     # zero velocity/angle at the cell center leaves a constant snapshot
-    np.testing.assert_allclose(snap.data, np.exp(0.3j), atol=1e-12)
+    np.testing.assert_allclose(snap, np.exp(0.3j), atol=1e-12)
 
 
 def test_pulse_compression_gain(cfg, selections):
@@ -122,7 +128,7 @@ def test_direct_noise_variance(cfg, selections):
     snap = simulate_cell_direct(
         [], selections, cfg, sigma_r=sigma, rng=np.random.default_rng(2), g=0
     )
-    assert np.var(snap.data) == pytest.approx(sigma**2, rel=0.1)
+    assert np.var(snap) == pytest.approx(sigma**2, rel=0.1)
 
 
 def test_sigma_for_snr(cfg):
@@ -155,9 +161,9 @@ def test_snapshot_flatten_order(cfg, selections):
     snap = simulate_cell_direct(
         _grid_scene(cfg)[0], selections, cfg, sigma_r=0.0, g=2
     )
-    flat = snap.flatten()
+    flat = snap.reshape(-1)
     n, k, q = 5, 1, 1
-    assert flat[n * cfg.K * cfg.Q_r + k * cfg.Q_r + q] == snap.data[n, k, q]
+    assert flat[n * cfg.K * cfg.Q_r + k * cfg.Q_r + q] == snap[n, k, q]
 
 
 def test_cube_save_load_round_trip(cfg, selections, tmp_path):
@@ -208,4 +214,108 @@ def test_cube_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.frc"
     path.write_bytes(b"not a cube at all")
     with pytest.raises(ValueError):
+        load_cube(path)
+
+
+def test_selections_must_fit_the_config(cfg, selections):
+    # K=1 rows against K=2, and an M=16 draw against M=8: every consumer of
+    # the row model stops at one ValueError instead of a numpy error or a
+    # dictionary built from carriers the config does not have
+    narrow = random_selection_sequence(cfg.replace(K=1), np.random.default_rng(0))
+    wide = random_selection_sequence(cfg.replace(M=16), np.random.default_rng(0))
+    assert wide.carriers.max() >= cfg.M
+    scene = [Target(r=cell_center(2, cfg), v=0.0, theta=0.0)]
+    for sels, message in ((narrow, r"shape \(32, 1\).*\(32, 2\)"),
+                          (wide, r"carrier indices span .* range\(0, 8\)")):
+        with pytest.raises(ValueError, match=message):
+            build_dictionary(sels, cfg)
+        with pytest.raises(ValueError, match=message):
+            simulate_fast_time(scene, sels, cfg, sigma_r=0.0)
+        with pytest.raises(ValueError, match=message):
+            simulate_cell_direct(scene, sels, cfg, sigma_r=0.0, g=2)
+    bad_antenna = SelectionSequence(selections.carriers, selections.antennas + cfg.P,
+                                    selections.phases)
+    with pytest.raises(ValueError, match="antenna indices"):
+        build_dictionary(bad_antenna, cfg)
+    with pytest.raises(TypeError, match="SelectionSequence"):
+        build_dictionary(list(selections), cfg)
+
+
+def test_cube_domains_checked(cfg, selections):
+    scene, g = _grid_scene(cfg)
+    cube = simulate_fast_time(scene, selections, cfg, sigma_r=0.0)
+    crrp = pulse_compress(cube)
+    with pytest.raises(ValueError, match="FastTimeCube"):
+        pulse_compress(crrp)
+    with pytest.raises(ValueError, match="CrrpCube"):
+        extract_cell(cube, g)
+
+
+def _edit_header(path, edit):
+    """Rewrite a cube file's JSON header through ``edit``; keep the payload."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+
+
+def test_cube_file_format_is_pinned(cfg, selections, tmp_path):
+    # magic, little-endian uint64 header length, JSON header with one
+    # {carriers, antennas, phases} record of lists per pulse, then (re, im)
+    # float64 pairs in C order
+    cube = simulate_fast_time(_grid_scene(cfg)[0], selections, cfg, sigma_r=0.0)
+    assert cube.selections is selections
+    header = {
+        "kind": "fast_time",
+        "dims": [cfg.N, cfg.K, cfg.Q_r, cfg.G],
+        "config_hash": cfg.config_hash(),
+        "sigma_r": 0.0,
+        "config": cfg.to_dict(),
+        "selections": [
+            {"carriers": list(s.carriers), "antennas": list(s.antennas),
+             "phases": list(s.phases)}
+            for s in selections
+        ],
+    }
+    blob = json.dumps(header).encode()
+    payload = np.stack([cube.data.real, cube.data.imag], axis=-1).astype("<f8").tobytes()
+    want = b"FRACCUBE" + struct.pack("<Q", len(blob)) + blob + payload
+    path = tmp_path / "cube.frc"
+    save_cube(path, cube)
+    assert path.read_bytes() == want
+    back = load_cube(path)
+    assert back.selections == selections and back.selections[3] == selections[3]
+
+
+def test_cube_load_rejects_dims_off_the_config(cfg, selections, tmp_path):
+    cube = simulate_fast_time([], selections, cfg, sigma_r=0.0)
+    path = tmp_path / "cube.frc"
+    save_cube(path, cube)
+    # the same sample count, so the payload length still matches
+    dims = [2 * cfg.N, cfg.K // 2, cfg.Q_r, cfg.G]
+    _edit_header(path, lambda h: h.update(dims=dims))
+    with pytest.raises(ValueError, match=r"cube\.frc: dims \[64, 1, 2, 25\]"):
+        load_cube(path)
+
+
+def test_cube_load_rejects_selections_off_the_config(cfg, selections, tmp_path):
+    cube = simulate_fast_time([], selections, cfg, sigma_r=0.0)
+    path = tmp_path / "cube.frc"
+    save_cube(path, cube)
+
+    def far_carrier(h):
+        h["selections"][4]["carriers"][0] = 99
+
+    _edit_header(path, far_carrier)
+    with pytest.raises(ValueError, match=r"cube\.frc: carrier indices .* range\(0, 8\)"):
+        load_cube(path)
+
+    def repeated_antenna(h):
+        h["selections"][4]["antennas"] = [1, 1]
+
+    save_cube(path, cube)
+    _edit_header(path, repeated_antenna)
+    with pytest.raises(ValueError, match=r"cube\.frc: antenna indices repeat within pulse 4"):
         load_cube(path)
