@@ -395,8 +395,10 @@ def run_ambiguity(
         raise ValueError(f"points must be at least 1, got {points}")
     if mc_cpis < 0:
         raise ValueError(f"mc_cpis must be nonnegative, got {mc_cpis}")
-    if not math.isfinite(extent):
-        raise ValueError(f"extent must be finite, got {extent}")
+    if not math.isfinite(extent) or extent < 0:
+        raise ValueError(f"extent must be finite and nonnegative, got {extent}")
+    if extent == 0 and points > 1:
+        raise ValueError(f"extent 0 holds one offset, so points must be 1, got {points}")
     axes = {"range": 0, "velocity": 1, "angle": 2}
     names = axis.split("-")
     if len(names) > 2 or len(set(names)) < len(names) or not set(names) <= set(axes):

@@ -18,8 +18,9 @@ Unranking is arithmetic (no tables), so large M and P cost O(K log M) work.
 A CPI's selections are one :class:`SelectionSequence` of (N, K) arrays, the
 only form the radar chain takes; a :class:`PulseSelection` is one pulse at
 the codec and downlink boundary.  Radar-only operation draws a CPI at once
-(:func:`random_selection_sequence`): uniform random keys per pulse, argsorted,
-give an ordered K-subset of carriers and one of antennas, paired by slot.
+(:func:`random_selection_sequence`): the K smallest of a pulse's uniform random
+keys, in increasing order, give an ordered K-subset of carriers and one of
+antennas, paired by slot.
 Encoded message words stack into one::
 
     pulses = [encode(word, cfg) for word in words]
@@ -377,13 +378,15 @@ class SelectionSequence:
     __hash__ = None
 
 
-# random keys drawn at once: bounds the keys and their argsort to 2 MiB each
+# random keys drawn at once: bounds the keys, and the index block a pick of
+# k >= 2 sorts into, to 2 MiB each
 _KEY_BLOCK = 1 << 18
 
 
 def _key_blocks(rng: np.random.Generator, rows: int, width: int, k: int):
-    """Yield ``(lo, picks)``: the first k of each row's argsort of
-    ``rng.random((rows, width))``, one (b, k) block of rows at a time.
+    """Yield ``(lo, picks)``: the positions of the k smallest keys of each row
+    of ``rng.random((rows, width))`` in increasing key order, one (b, k) block
+    of rows at a time; found by argmin when k = 1, by argsort otherwise.
 
     Each row's picks are a uniformly random ordered k-subset of
     range(width).  ``Generator.random`` fills sequentially, so neither the
@@ -392,7 +395,10 @@ def _key_blocks(rng: np.random.Generator, rows: int, width: int, k: int):
     step = max(1, _KEY_BLOCK // width)
     for lo in range(0, rows, step):
         keys = rng.random((min(step, rows - lo), width))
-        yield lo, np.argsort(keys, axis=-1)[:, :k]
+        if k == 1:
+            yield lo, np.argmin(keys, axis=-1)[:, None]
+        else:
+            yield lo, np.argsort(keys, axis=-1)[:, :k]
 
 
 def _key_picks(rng: np.random.Generator, rows: int, width: int, k: int,

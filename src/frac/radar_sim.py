@@ -168,7 +168,10 @@ def _target_phase_terms(t: Target, cfg: SystemConfig):
 
 
 def _add_noise(data: np.ndarray, sigma_r: float, std: float, rng) -> None:
-    """Add complex Gaussian noise, ``std`` per real part, in place when sigma_r > 0."""
+    """Add complex Gaussian noise, ``std`` per real part, in place when sigma_r > 0;
+    a negative or non-finite sigma_r is rejected before anything is drawn."""
+    if not 0.0 <= sigma_r < math.inf:
+        raise ValueError(f"sigma_r must be finite and nonnegative, got {sigma_r}")
     if sigma_r > 0.0:
         if rng is None:
             raise ValueError("rng is required when sigma_r > 0")
@@ -289,6 +292,13 @@ def save_cube(path, cube: FastTimeCube | CrrpCube) -> None:
         fh.write(blob)
         fh.write(flat.tobytes())
 
+def _field(record: dict, key: str, path, where: str = "header"):
+    """``record[key]``, or a ValueError naming the file and the missing field."""
+    try:
+        return record[key]
+    except KeyError:
+        raise ValueError(f"{path}: {where} has no {key!r} field") from None
+
 def load_cube(path) -> FastTimeCube | CrrpCube:
     with open(path, "rb") as fh:
         if fh.read(len(_CUBE_MAGIC)) != _CUBE_MAGIC:
@@ -299,7 +309,7 @@ def load_cube(path) -> FastTimeCube | CrrpCube:
     cls = {"fast_time": FastTimeCube, "crrp": CrrpCube}.get(header.get("kind"))
     if cls is None:
         raise ValueError(f"{path}: unknown cube kind {header.get('kind')!r}")
-    dims = tuple(header["dims"])
+    dims = tuple(_field(header, "dims", path))
     expected = 16 * math.prod(dims)
     if len(raw) != expected:
         raise ValueError(
@@ -307,20 +317,21 @@ def load_cube(path) -> FastTimeCube | CrrpCube:
         )
     payload = np.frombuffer(raw, dtype="<f8")
     data = (payload[0::2] + 1j * payload[1::2]).reshape(dims)
-    cfg = SystemConfig.from_dict(header["config"])
-    if cfg.config_hash() != header["config_hash"]:
+    cfg = SystemConfig.from_dict(_field(header, "config", path))
+    if cfg.config_hash() != _field(header, "config_hash", path):
         raise ValueError(f"{path}: config hash mismatch")
     if dims != (cfg.N, cfg.K, cfg.Q_r, cfg.G):
         raise ValueError(
             f"{path}: dims {list(dims)} do not match (N, K, Q_r, G) = "
             f"{[cfg.N, cfg.K, cfg.Q_r, cfg.G]} of its config"
         )
-    rows = header["selections"]
+    sigma_r = _field(header, "sigma_r", path)
+    rows = _field(header, "selections", path)
+    columns = [np.array([_field(s, key, path, f"selection {n}") for n, s in enumerate(rows)])
+               for key in ("carriers", "antennas", "phases")]
     try:
-        selections = SelectionSequence(
-            *(np.array([s[key] for s in rows]) for key in ("carriers", "antennas", "phases"))
-        )
+        selections = SelectionSequence(*columns)
         _check_fit(selections, cfg)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    return cls(data=data, selections=selections, cfg=cfg, sigma_r=header["sigma_r"])
+    return cls(data=data, selections=selections, cfg=cfg, sigma_r=sigma_r)

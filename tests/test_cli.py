@@ -416,6 +416,8 @@ def _never_called(*args, **kwargs):
     (["ambiguity", "--axis", "angle-angle", "--mc", "3"], "pair of two"),
     (["ambiguity", "--extent", "nan"], "extent must be finite"),
     (["ambiguity", "--extent", "inf", "--mc", "3"], "extent must be finite"),
+    (["ambiguity", "--extent", "-1"], "extent must be finite and nonnegative"),
+    (["ambiguity", "--extent", "0", "--points", "3", "--mc", "3"], "points must be 1"),
 ])
 def test_ignored_or_wrong_inputs_exit_2_before_simulating(argv, message, tmp_path,
                                                           monkeypatch, capsys):

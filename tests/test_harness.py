@@ -363,6 +363,24 @@ def test_run_ambiguity_rejects_bad_counts(kwargs, message):
         run_ambiguity(reference_config(), **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(extent=-1.0), "extent must be finite and nonnegative, got -1.0"),
+    (dict(extent=0.0, points=3), "extent 0 holds one offset, so points must be 1, got 3"),
+])
+def test_run_ambiguity_rejects_a_window_that_is_no_window(kwargs, message):
+    # both used to return rows: a reversed axis, or three copies of offset 0
+    with pytest.raises(ValueError, match=message):
+        run_ambiguity(reference_config(), **kwargs)
+
+
+def test_run_ambiguity_queries_the_zero_offset_alone():
+    cfg = reference_config()
+    (row,) = run_ambiguity(cfg, axis="angle", points=1, extent=0.0, mc_cpis=5)
+    assert row["df_angle"] == 0.0
+    assert row["af_expected"] == pytest.approx(cfg.N * cfg.K * cfg.Q_r)
+    assert row["af_mc"] == pytest.approx(cfg.N * cfg.K * cfg.Q_r)
+
+
 def test_run_phase_transition_theory():
     cfg = reference_config()
     rows = run_phase_transition_theory(cfg, parse_variants(cfg, "base,N=16"))

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frac.im_codec
 from frac.config import ConfigError, reference_config
 from frac.im_codec import (
     MappingTable,
@@ -22,6 +24,7 @@ from frac.im_codec import (
     perm_rank,
     perm_unrank,
     random_selection_sequence,
+    _key_picks,
 )
 
 
@@ -261,6 +264,37 @@ def test_random_sequence_deterministic():
     a = random_selection_sequence(cfg, np.random.default_rng(11))
     b = random_selection_sequence(cfg, np.random.default_rng(11))
     assert a == b
+
+
+_WIDTH_AND_K = st.integers(1, 16).flatmap(
+    lambda w: st.tuples(st.just(w), st.sampled_from(sorted({1, min(2, w), w}))))
+
+
+@given(_WIDTH_AND_K, st.integers(0, 40), st.sampled_from([1, 7, frac.im_codec._KEY_BLOCK]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_key_picks_equal_the_head_of_an_argsort(width_k, rows, block, seed):
+    # one-key picks take the argmin, wider picks an argsort; both must be the
+    # first k columns of the argsort of the same keys, whatever the block size
+    width, k = width_k
+    keys = np.random.default_rng(seed).random((rows, width))
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(frac.im_codec, "_KEY_BLOCK", block):
+        picks = _key_picks(rng, rows, width, k)
+    np.testing.assert_array_equal(picks, np.argsort(keys, axis=-1)[:, :k])
+    # and they consume exactly the keys
+    assert rng.random() == np.random.default_rng(seed).random(keys.size + 1)[-1]
+
+
+def test_one_key_sequence_matches_the_argsort_reference():
+    cfg = reference_config()
+    assert cfg.K == 1
+    ref = np.random.default_rng(23)
+    carriers = np.argsort(ref.random((cfg.N, cfg.M)), axis=-1)[:, :1]
+    antennas = np.argsort(ref.random((cfg.N, cfg.P)), axis=-1)[:, :1]
+    phases = 2.0 * math.pi * ref.integers(0, cfg.J, (cfg.N, 1)) / cfg.J
+    sels = random_selection_sequence(cfg, np.random.default_rng(23))
+    assert sels == SelectionSequence(carriers, antennas, phases)
 
 
 def test_random_sequence_rejects_bad_pulse_counts():

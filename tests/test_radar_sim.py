@@ -144,6 +144,18 @@ def test_noise_requires_rng(cfg, selections):
         simulate_cell_direct([], selections, cfg, sigma_r=1.0, g=0)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+def test_noise_rejects_a_sigma_that_is_no_std(cfg, selections, sigma):
+    # a negative or nan sigma_r used to add no noise without a message
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="sigma_r must be finite and nonnegative"):
+        simulate_fast_time([], selections, cfg, sigma_r=sigma, rng=rng)
+    with pytest.raises(ValueError, match="sigma_r must be finite and nonnegative"):
+        simulate_cell_direct([], selections, cfg, sigma_r=sigma, rng=rng, g=0)
+    # nothing was drawn
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_direct_rejects_wrong_cell(cfg, selections):
     scene = [Target(r=cell_center(2, cfg), v=0, theta=0)]
     with pytest.raises(ValueError):
@@ -318,4 +330,28 @@ def test_cube_load_rejects_selections_off_the_config(cfg, selections, tmp_path):
     save_cube(path, cube)
     _edit_header(path, repeated_antenna)
     with pytest.raises(ValueError, match=r"cube\.frc: antenna indices repeat within pulse 4"):
+        load_cube(path)
+
+
+@pytest.mark.parametrize("where, key", [
+    ("header", "dims"),
+    ("header", "config"),
+    ("header", "config_hash"),
+    ("header", "sigma_r"),
+    ("header", "selections"),
+    ("selection 4", "carriers"),
+    ("selection 4", "antennas"),
+    ("selection 4", "phases"),
+])
+def test_cube_load_names_a_missing_field(cfg, selections, tmp_path, where, key):
+    # a header without the field used to fail with a bare KeyError
+    cube = simulate_fast_time([], selections, cfg, sigma_r=0.0)
+    path = tmp_path / "cube.frc"
+    save_cube(path, cube)
+
+    def drop(h):
+        del (h if where == "header" else h["selections"][4])[key]
+
+    _edit_header(path, drop)
+    with pytest.raises(ValueError, match=rf"cube\.frc: {where} has no '{key}' field"):
         load_cube(path)
