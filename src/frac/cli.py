@@ -9,53 +9,48 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
 import sys
 
-
 from . import __version__, harness
+from .comm import BerPoint, RatePoint
 from .config import ConfigError, SystemConfig, reference_config
 from .im_codec import MappingTable, decode, encode
 from .radar_recovery import NonConvergenceError
 from .radar_sim import Target
-from .harness import parse_range
-
-_INT_FIELDS = ("N", "M", "K", "P", "Q_r", "Q_c", "J", "n_taps")
-_FLOAT_FIELDS = ("f_c", "B", "T_0", "T_p", "F_s_radar", "r_max", "d_R", "F_s_comm", "c")
+from .harness import HitRatePoint, parse_range
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    grp = parser.add_argument_group(
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags every subcommand takes: --out, --config and one override
+    flag per SystemConfig field."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+    grp = common.add_argument_group(
         "configuration",
         "base values come from the built-in reference set or --config; "
         "individual flags override either",
     )
     grp.add_argument("--config", metavar="JSON", help="JSON file with config fields")
-    for name in _INT_FIELDS:
-        grp.add_argument(f"--{name}", type=int, default=None, help=f"override {name}")
-    for name in _FLOAT_FIELDS:
-        grp.add_argument(f"--{name}", type=float, default=None, help=f"override {name}")
-    grp.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    _add_config_flags(parser)
+    for f in dataclasses.fields(SystemConfig):
+        # the counts and the seed default to integers; every other field is
+        # a float or None
+        kind = int if isinstance(f.default, int) else float
+        grp.add_argument(f"--{f.name}", type=kind, default=None, help=f"override {f.name}")
+    return common
 
 
 def _load_config(args: argparse.Namespace) -> SystemConfig:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = SystemConfig.from_json(fh.read())
     else:
         cfg = reference_config()
-    overrides = {}
-    for name in _INT_FIELDS + _FLOAT_FIELDS + ("seed",):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(SystemConfig)
+                 if getattr(args, f.name) is not None}
     if overrides:
         # overriding one of the paired fields drops the other in the same
         # replace call, otherwise the stale partner wins or validation
@@ -87,6 +82,15 @@ def _levels(text: str) -> list[int]:
     return [int(x) for x in values]
 
 
+def _write(args, text: str) -> None:
+    """Write ``text`` to --out, or to stdout without it."""
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_csv(args, cfg: SystemConfig, fieldnames: list[str], rows: list[dict],
                comments: list[str] | None = None) -> None:
     buf = io.StringIO()
@@ -98,27 +102,20 @@ def _write_csv(args, cfg: SystemConfig, fieldnames: list[str], rows: list[dict],
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _fmt(row.get(k, "")) for k in fieldnames})
-    text = buf.getvalue()
-    if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, buf.getvalue())
+
+
+def _write_points(args, cfg: SystemConfig, cls, points: list,
+                  comments: list[str]) -> None:
+    """One CSV row per result point, one column per field of its dataclass."""
+    _write_csv(args, cfg, [f.name for f in dataclasses.fields(cls)],
+               [dataclasses.asdict(p) for p in points], comments)
 
 
 def _fmt(v):
     if isinstance(v, float):
         return format(v, ".10g")
     return v
-
-
-def _emit_json(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +138,7 @@ def _cmd_encode(args) -> int:
         },
         "config_hash": cfg.config_hash(),
     }
-    _emit_json(args, payload)
+    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -206,14 +203,16 @@ def _cmd_phase_transition(args) -> int:
 
 def _cmd_hit_rate(args) -> int:
     cfg = _load_config(args)
+    if args.scene == "fixed" and args.n_targets is not None:
+        raise ConfigError("--n-targets only applies to --scene random; "
+                          "the fixed scene has 3 targets")
     points = harness.run_hit_rate(
         cfg, _grid("--snr", args.snr), trials=args.trials, seed=cfg.seed,
-        scene_mode=args.scene, n_targets=args.n_targets, solver=args.solver,
-        workers=args.workers,
+        scene_mode=args.scene, n_targets=3 if args.n_targets is None else args.n_targets,
+        solver=args.solver, workers=args.workers,
     )
-    rows = [dataclasses.asdict(p) for p in points]
-    _write_csv(args, cfg, ["snr_db", "trials", "hits", "hit_rate", "ci_low", "ci_high"],
-               rows, comments=[f"scene: {args.scene}", f"solver: {args.solver}"])
+    _write_points(args, cfg, HitRatePoint, points,
+                  [f"scene: {args.scene}", f"solver: {args.solver}"])
     return 0
 
 
@@ -266,9 +265,8 @@ def _cmd_comm_ber(args) -> int:
         cfg, _grid("--snr", args.snr), channels=args.channels, draws=args.draws,
         schemes=schemes, seed=cfg.seed,
     )
-    rows = [dataclasses.asdict(p) for p in points]
-    _write_csv(args, cfg, ["scheme", "snr_db", "messages", "bit_errors", "ber", "stderr"],
-               rows, comments=[f"channels: {args.channels}", f"draws: {args.draws}"])
+    _write_points(args, cfg, BerPoint, points,
+                  [f"channels: {args.channels}", f"draws: {args.draws}"])
     return 0
 
 
@@ -279,9 +277,8 @@ def _cmd_comm_rate(args) -> int:
         cfg, _grid("--snr", args.snr), channels=args.channels, draws=args.draws,
         schemes=schemes, seed=cfg.seed,
     )
-    rows = [dataclasses.asdict(p) for p in points]
-    _write_csv(args, cfg, ["scheme", "snr_db", "rate_bits", "stderr"], rows,
-               comments=[f"channels: {args.channels}", f"draws: {args.draws}"])
+    _write_points(args, cfg, RatePoint, points,
+                  [f"channels: {args.channels}", f"draws: {args.draws}"])
     return 0
 
 
@@ -300,6 +297,17 @@ def _cmd_hw_report(args) -> int:
     return 0
 
 
+def _workers(text: str) -> int:
+    """A --workers value: an integer count of processes, at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frac",
@@ -307,14 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"frac {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand shares one parser of the common flags
+    add = functools.partial(sub.add_parser, parents=[_common_parser()])
 
-    p = sub.add_parser("encode", help="map a bit word to a transmit selection")
+    p = add("encode", help="map a bit word to a transmit selection")
     p.add_argument("--bits", required=True, help="binary word of n_total_bits")
     p.add_argument("--mapping", help="JSON mapping-table file overriding the codec")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("ambiguity", help="expected ambiguity cuts and planes")
+    p = add("ambiguity", help="expected ambiguity cuts and planes")
     p.add_argument("--axis", default="range",
                    help="range | velocity | angle | pair like range-velocity")
     p.add_argument("--points", type=int, default=129)
@@ -322,10 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="width of the normalized offset window")
     p.add_argument("--mc", type=int, default=0,
                    help="CPIs for a Monte Carlo mean column (0 = closed form only)")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_ambiguity)
 
-    p = sub.add_parser("phase-transition", help="basis-pursuit sparsity limits")
+    p = add("phase-transition", help="basis-pursuit sparsity limits")
     p.add_argument("--mode", choices=("theory", "empirical"), default="theory")
     p.add_argument("--variants", default="base,K=2,M=4,M=16,P=2,P=8,N=16,N=24",
                    help="comma list of 'base' or FIELD=VALUE configs")
@@ -333,54 +341,47 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sparsity grid (range syntax); default 1..2*l_star")
     p.add_argument("--trials", type=int, default=None,
                    help="trials per sparsity level (empirical; default 100)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_workers, default=None,
                    help="parallel worker processes (empirical; default 1)")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_phase_transition)
 
-    p = sub.add_parser("radar-hit-rate", help="exact grid-triple recovery vs SNR")
+    p = add("radar-hit-rate", help="exact grid-triple recovery vs SNR")
     p.add_argument("--snr", default="0:2:20", help="SNR grid in dB (start:step:stop)")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--scene", choices=("fixed", "random"), default="fixed")
-    p.add_argument("--n-targets", type=int, default=3,
-                   help="targets per random scene")
+    p.add_argument("--n-targets", type=int, default=None,
+                   help="targets per random scene (default 3)")
     p.add_argument("--solver", choices=("omp", "bp"), default="omp")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    _add_common_flags(p)
+    p.add_argument("--workers", type=_workers, default=1, help="parallel worker processes")
     p.set_defaults(func=_cmd_hit_rate)
 
-    p = sub.add_parser("recovery-map", help="recover one scene and dump the map")
+    p = add("recovery-map", help="recover one scene and dump the map")
     p.add_argument("--scene-file", help="CSV with r_m,v_mps,theta_deg,amp,phase_rad")
     p.add_argument("--snr", type=float, default=None, help="radar SNR in dB (default noiseless)")
     p.add_argument("--solver", choices=("omp", "bp"), default="omp")
     p.add_argument("--direct", action="store_true",
                    help="skip the fast-time chain and write cell snapshots directly")
     p.add_argument("--dump-cube", help="write the fast-time cube to this path")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_recovery_map)
 
-    p = sub.add_parser("comm-ber", help="bit error rate of the downlink receivers")
+    p = add("comm-ber", help="bit error rate of the downlink receivers")
     p.add_argument("--snr", default="0:2:20")
     p.add_argument("--channels", type=int, default=100)
     p.add_argument("--draws", type=int, default=100, help="messages per channel")
     p.add_argument("--schemes", default="frac-ml,frac-sod,psk64-ml")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_comm_ber)
 
-    p = sub.add_parser("comm-rate", help="achievable rate of the discrete alphabet")
+    p = add("comm-rate", help="achievable rate of the discrete alphabet")
     p.add_argument("--snr", default="-10:5:30")
     p.add_argument("--channels", type=int, default=100)
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--schemes", default="frac-j2,frac-j4")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_comm_rate)
 
-    p = sub.add_parser("resolution-report", help="resolutions and spans")
-    _add_common_flags(p)
+    p = add("resolution-report", help="resolutions and spans")
     p.set_defaults(func=_cmd_resolution_report)
 
-    p = sub.add_parser("hw-report", help="hardware cost versus wideband MIMO")
-    _add_common_flags(p)
+    p = add("hw-report", help="hardware cost versus wideband MIMO")
     p.set_defaults(func=_cmd_hw_report)
 
     return parser

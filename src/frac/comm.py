@@ -132,22 +132,20 @@ def sigma_for_comm_snr(cfg: SystemConfig, snr_db: float) -> float:
     return math.sqrt(cfg.K * cfg.Q_c * cfg.U * channel_tap_power(cfg) / lin)
 
 
-def _shifted_waveforms(cfg: SystemConfig, waveforms: np.ndarray | None = None) -> np.ndarray:
+def _shifted_waveforms(cfg: SystemConfig) -> np.ndarray:
     """Zero-filled delayed chirps X[m, i, u] = s_m[u - i] (0 for u < i), shape (M, n_taps, U)."""
-    S = baseband_waveforms(cfg) if waveforms is None else waveforms
+    S = baseband_waveforms(cfg)
     X = np.zeros((cfg.M, cfg.n_taps, cfg.U), dtype=np.complex128)
     for i in range(min(cfg.n_taps, cfg.U)):
         X[:, i, i:] = S[:, : cfg.U - i]
     return X
 
 
-def build_psi(
-    h: np.ndarray, cfg: SystemConfig, waveforms: np.ndarray | None = None
-) -> np.ndarray:
+def build_psi(h: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Observation matrix (Q_c U, M P); column m*P + p is h[p, q_c] * s_m stacked over q_c."""
     if h.shape != (cfg.P, cfg.Q_c, cfg.n_taps):
         raise ValueError(f"channel shape {h.shape} != {(cfg.P, cfg.Q_c, cfg.n_taps)}")
-    X = _shifted_waveforms(cfg, waveforms)
+    X = _shifted_waveforms(cfg)
     out = np.tensordot(h, X, axes=([2], [1]))              # (p, q_c, m, u)
     # (p, q_c, m, u) -> rows (q_c, u), cols (m, p)
     return np.ascontiguousarray(

@@ -27,6 +27,9 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # cells, 1.5 m resolution); override c for SI-exact work.
 REFERENCE_C = 3.0e8  # m/s
 
+# The count fields of SystemConfig (every integer field but the seed), in field order.
+COUNT_FIELDS = ("N", "M", "K", "P", "Q_r", "Q_c", "J", "n_taps")
+
 
 class ConfigError(ValueError):
     """Raised when a parameter set is inconsistent or out of range."""
@@ -81,7 +84,7 @@ class SystemConfig:
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        for name in ("N", "M", "K", "P", "Q_r", "Q_c", "J", "n_taps"):
+        for name in COUNT_FIELDS:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")

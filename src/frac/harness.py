@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import comm, phase_transition
 from .ambiguity import expected_af, mc_mean_af
-from .config import SystemConfig
+from .config import COUNT_FIELDS, SystemConfig
 from .im_codec import random_selection_sequence
 from .radar_recovery import (
     NonConvergenceError,
@@ -114,7 +115,7 @@ def parse_variants(cfg: SystemConfig, text: str) -> list[tuple[str, SystemConfig
             raise ValueError(f"variant must be 'base' or FIELD=VALUE, got {item!r}")
         field, val = item.split("=", 1)
         field = field.strip()
-        if field not in ("N", "M", "K", "P", "Q_r", "Q_c", "J", "n_taps"):
+        if field not in COUNT_FIELDS:
             raise ValueError(f"variant field {field!r} is not an integer count")
         out.append((item, cfg.replace(**{field: int(val)})))
     if not out:
@@ -205,9 +206,9 @@ def _hit_rate_trial(cfg: SystemConfig, sigmas: np.ndarray, rng: np.random.Genera
     return ok
 
 
-def _hit_rate_chunk(args) -> np.ndarray:
-    (cfg_dict, snr_db_list, trial_lo, trial_hi, seed, scene_mode, n_targets, solver) = args
-    cfg = SystemConfig.from_dict(cfg_dict)
+def _hit_rate_chunk(cfg: SystemConfig, snr_db_list: list[float], seed: int, scene_mode: str,
+                    n_targets: int, solver: str, chunk: tuple[int, int]) -> np.ndarray:
+    trial_lo, trial_hi = chunk
     fixed_scene = reference_scene(cfg) if scene_mode == "fixed" else None
     sigmas = np.array([sigma_for_snr(cfg, snr) for snr in snr_db_list])
     hits = np.zeros(len(snr_db_list), dtype=np.int64)
@@ -253,11 +254,8 @@ def run_hit_rate(
     if scene_mode == "random" and not 1 <= n_targets <= cfg.n2:
         raise ValueError(f"n_targets {n_targets} outside [1, n2={cfg.n2}]")
     snr_db_list = _snr_list(snr_db_list)
-    jobs = [
-        (cfg.to_dict(), snr_db_list, lo, hi, seed, scene_mode, n_targets, solver)
-        for lo, hi in _chunk_args(trials, workers)
-    ]
-    hits = np.sum(_map_trials(_hit_rate_chunk, jobs, workers), axis=0)
+    chunk = partial(_hit_rate_chunk, cfg, snr_db_list, seed, scene_mode, n_targets, solver)
+    hits = np.sum(_map_trials(chunk, _chunk_args(trials, workers), workers), axis=0)
     out = []
     for si, snr in enumerate(snr_db_list):
         lo, hi = _wilson(int(hits[si]), trials)
@@ -283,7 +281,9 @@ def _snr_list(snr_db_list) -> list[float]:
 
 
 def _chunk_args(trials: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, int(workers))
+    """Contiguous (lo, hi) trial ranges to share among ``workers`` processes."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if workers == 1 or trials <= workers:
         return [(0, trials)]
     size = (trials + workers - 1) // workers
@@ -297,7 +297,7 @@ def _map_trials(fn, jobs: list, workers: int) -> list:
     threads in this process.  The pool modules are imported only here, so a
     one-worker run never loads them.
     """
-    if workers <= 1 or len(jobs) == 1:
+    if workers == 1 or len(jobs) == 1:
         return [fn(job) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -439,9 +439,8 @@ def run_phase_transition_theory(
     return rows
 
 
-def _pt_chunk(args) -> int:
-    cfg_dict, l_sparse, trial_lo, trial_hi, seed = args
-    cfg = SystemConfig.from_dict(cfg_dict)
+def _pt_chunk(cfg: SystemConfig, seed: int, job: tuple[int, int, int]) -> int:
+    l_sparse, trial_lo, trial_hi = job
     ok = 0
     for trial in range(trial_lo, trial_hi):
         rng = np.random.default_rng([seed, l_sparse, trial])
@@ -474,8 +473,8 @@ def run_phase_transition_empirical(
         raise ValueError(f"trials must be at least 1, got {trials}")
     l_values = [int(l) for l in l_values]
     chunks = _chunk_args(trials, workers)
-    jobs = [(cfg.to_dict(), l, lo, hi, seed) for l in l_values for lo, hi in chunks]
-    parts = _map_trials(_pt_chunk, jobs, workers)
+    jobs = [(l, lo, hi) for l in l_values for lo, hi in chunks]
+    parts = _map_trials(partial(_pt_chunk, cfg, seed), jobs, workers)
     oks = [sum(parts[i:i + len(chunks)]) for i in range(0, len(parts), len(chunks))]
     rows = [
         {"l_sparse": l, "trials": trials, "successes": ok, "success_rate": ok / trials}

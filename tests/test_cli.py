@@ -1,6 +1,7 @@
 """Command line surface: payloads, CSV shape, overrides, exit codes."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from frac import cli
-from frac.config import reference_config
+from frac.config import SystemConfig, reference_config
 from frac.harness import run_hit_rate, snap_to_grid
 from frac.im_codec import PulseSelection, random_selection_sequence
 from frac.radar_recovery import NonConvergenceError
@@ -360,6 +361,54 @@ def test_config_file_with_flag_override(tmp_path):
     assert comments[1] == f"# config_hash: {reference_config(M=16).config_hash()}"
 
 
+# one value per SystemConfig field, of the field's type and unlike the
+# reference value
+FIELD_VALUES = dict(
+    N=16, M=16, K=2, P=8, Q_r=4, Q_c=8, J=4, n_taps=4, f_c=78.0e9, B=200.0e6,
+    T_0=70.0e-6, T_p=40.0e-6, F_s_radar=500.0e3, r_max=150.0, d_R=2.0e-3,
+    F_s_comm=50.0e6, c=299792458.0, seed=7,
+)
+SUBCOMMANDS = [
+    ["encode", "--bits", "110"], ["ambiguity"], ["phase-transition"], ["radar-hit-rate"],
+    ["recovery-map"], ["comm-ber"], ["comm-rate"], ["resolution-report"], ["hw-report"],
+]
+
+
+def _overridden(cfg, name, value):
+    """``cfg`` with one field set the way a flag sets it: F_s_radar and r_max
+    each drop the other."""
+    changes = {name: value}
+    for a, b in (("F_s_radar", "r_max"), ("r_max", "F_s_radar")):
+        if name == a:
+            changes[b] = None
+    return cfg.replace(**changes)
+
+
+def test_field_values_cover_every_subcommand_and_field():
+    sub = cli.build_parser()._subparsers._group_actions[0]
+    assert sorted(argv[0] for argv in SUBCOMMANDS) == sorted(sub.choices)
+    assert list(FIELD_VALUES) == [f.name for f in dataclasses.fields(SystemConfig)]
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(SystemConfig), ids=lambda f: f.name)
+def test_every_subcommand_overrides_every_config_field(field, tmp_path):
+    value = FIELD_VALUES[field.name]
+    # the annotation reads 'int', 'float' or 'float | None'
+    assert type(value).__name__ == field.type.split(" |")[0]
+    cfg_file = tmp_path / "cfg.json"
+    from_file = reference_config(Q_c=2, seed=9)
+    cfg_file.write_text(from_file.to_json())
+    parser = cli.build_parser()
+    for argv in SUBCOMMANDS:
+        args = parser.parse_args(argv + [f"--{field.name}", str(value)])
+        assert getattr(args, field.name) == value
+        assert type(getattr(args, field.name)) is type(value)
+        assert cli._load_config(args) == _overridden(reference_config(), field.name, value)
+        args = parser.parse_args(argv + ["--config", str(cfg_file),
+                                         f"--{field.name}", str(value)])
+        assert cli._load_config(args) == _overridden(from_file, field.name, value)
+
+
 def test_r_max_override_drops_paired_rate(tmp_path):
     out = tmp_path / "res.csv"
     rc = cli.main(["resolution-report", "--r_max", "150", "--out", str(out)])
@@ -430,6 +479,47 @@ def test_ignored_or_wrong_inputs_exit_2_before_simulating(argv, message, tmp_pat
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not cube.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["radar-hit-rate", "--snr", "10", "--trials", "2"],
+    ["phase-transition", "--mode", "empirical", "--variants", "base", "--l-values", "2",
+     "--trials", "2"],
+])
+@pytest.mark.parametrize("workers", ["0", "-4", "two"])
+def test_fewer_than_one_worker_exits_2_before_simulating(argv, workers, tmp_path,
+                                                         monkeypatch, capsys):
+    # these used to exit 0 and run one worker
+    monkeypatch.setattr("frac.harness.random_selection_sequence", _never_called)
+    monkeypatch.setattr("frac.phase_transition.random_selection_sequence", _never_called)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + TINY + ["--workers", workers, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --workers: must be an integer of at least 1, got '{workers}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scene", [[], ["--scene", "fixed"]])
+@pytest.mark.parametrize("n_targets", ["3", "7"])
+def test_n_targets_with_fixed_scene_exits_2_before_simulating(scene, n_targets, tmp_path,
+                                                              monkeypatch, capsys):
+    # the fixed scene always has 3 targets; --n-targets used to be ignored
+    monkeypatch.setattr("frac.harness.random_selection_sequence", _never_called)
+    out = tmp_path / "out.csv"
+    assert cli.main(["radar-hit-rate", "--snr", "10", "--trials", "2", "--n-targets", n_targets,
+                     "--out", str(out)] + scene + TINY) == 2
+    assert "frac: error: --n-targets only applies to --scene random" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_random_scene_has_3_targets_by_default(tmp_path):
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    base = ["radar-hit-rate", "--scene", "random", "--snr", "10", "--trials", "2"] + TINY
+    assert cli.main(base + ["--out", str(out1)]) == 0
+    assert cli.main(base + ["--n-targets", "3", "--out", str(out2)]) == 0
+    assert out1.read_text() == out2.read_text()
 
 
 @pytest.mark.parametrize("command, schemes, message", [

@@ -1,10 +1,12 @@
 """Parameter derivation, validation, and serialization round trips."""
 
+import dataclasses
 import math
 
 import pytest
 
 from frac.config import (
+    COUNT_FIELDS,
     REFERENCE_C,
     SPEED_OF_LIGHT,
     ConfigError,
@@ -111,6 +113,12 @@ def test_validation_rejects_bool_counts(name):
     # bool is a subclass of int, so True would otherwise pass as 1
     with pytest.raises(ConfigError, match=f"{name} must be a positive integer"):
         reference_config(**{name: True})
+
+
+def test_count_fields_are_the_integer_fields_but_the_seed():
+    ints = [f.name for f in dataclasses.fields(SystemConfig) if f.type == "int"]
+    assert ints[-1] == "seed"
+    assert COUNT_FIELDS == tuple(ints[:-1])
 
 
 def test_from_dict_rejects_unknown_fields():

@@ -1,11 +1,12 @@
 """Experiment drivers: parsing, determinism across workers, end-to-end runs."""
 
+import dataclasses
 
 import numpy as np
 import pytest
 
 import frac.harness
-from frac.config import reference_config
+from frac.config import COUNT_FIELDS, SystemConfig, reference_config
 from frac.harness import (
     hw_report,
     parse_range,
@@ -74,6 +75,16 @@ def test_parse_variants():
         parse_variants(cfg, "f_c=1")
     with pytest.raises(ValueError):
         parse_variants(cfg, "garbage")
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemConfig)])
+def test_parse_variants_accepts_exactly_the_count_fields(field):
+    cfg = reference_config()
+    if field in COUNT_FIELDS:
+        assert parse_variants(cfg, f"{field}=2") == [(f"{field}=2", cfg.replace(**{field: 2}))]
+    else:
+        with pytest.raises(ValueError, match=f"variant field '{field}' is not an integer count"):
+            parse_variants(cfg, f"{field}=2")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -397,6 +408,20 @@ def test_run_phase_transition_empirical_workers():
     assert rows1 == rows2 and cross1 == cross2
     assert rows1[0]["success_rate"] >= 5 / 6
     assert rows1[1]["success_rate"] <= 1 / 6
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_drivers_reject_fewer_than_one_worker(workers, monkeypatch):
+    # these used to run one worker quietly
+    def never_called(*args, **kwargs):
+        raise AssertionError("trial started")
+
+    monkeypatch.setattr(frac.harness, "_hit_rate_trial", never_called)
+    monkeypatch.setattr(frac.harness.phase_transition, "recovery_trial", never_called)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_hit_rate(tiny_radar(), [10.0], trials=2, workers=workers)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_phase_transition_empirical(tiny_radar(), [1], trials=2, workers=workers)
 
 
 @pytest.mark.parametrize("l_values, message", [
