@@ -16,12 +16,28 @@ import math
 import sys
 
 from . import __version__, harness
-from .comm import BerPoint, RatePoint
 from .config import ConfigError, SystemConfig, reference_config
 from .im_codec import MappingTable, decode, encode
 from .radar_recovery import NonConvergenceError
 from .radar_sim import Target
-from .harness import HitRatePoint, parse_range
+
+# the flag of each driver parameter that an error message may name
+_FLAGS = {
+    "axis": "--axis", "points": "--points", "extent": "--extent", "mc_cpis": "--mc",
+    "variants": "--variants", "l_values": "--l-values", "trials": "--trials",
+    "workers": "--workers", "snr_db_list": "--snr", "snr_db": "--snr", "scene_mode": "--scene",
+    "n_targets": "--n-targets", "channels": "--channels", "draws": "--draws",
+}
+
+
+def _flag_message(text: str) -> str:
+    """``text`` with each driver parameter it names as a word turned into its
+    flag.  A name in a quoted or path-like token is user input and stays, and
+    so does a name followed by a number: it quotes a value ("n_targets 0")."""
+    import re  # only an error needs it
+
+    return re.sub(rf"(?<![\w'\"./-])({'|'.join(_FLAGS)})(?![\w'\"./-]| -?\d)",
+                  lambda m: _FLAGS[m[1]], text)
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -63,23 +79,38 @@ def _load_config(args: argparse.Namespace) -> SystemConfig:
     return cfg
 
 
-def _grid(flag: str, text: str) -> list[float]:
-    """A range-syntax flag value; a bad grid is an error naming the flag."""
+def parse_range(text: str) -> list[float]:
+    """Grids: 'start:step:stop' (inclusive stop) or a comma list.
+
+    The grid must be non-empty, and a range's bounds and step finite; the
+    drivers check the values.
+    """
+    text = text.strip()
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"range syntax is start:step:stop, got {text!r}")
+        start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"range bounds and step must be finite, got {text!r}")
+        if step <= 0:
+            raise ValueError(f"range step must be positive, got {step}")
+        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if n < 1:
+            raise ValueError(f"empty range {text!r}")
+        return [start + i * step for i in range(n)]
+    values = [float(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"empty grid {text!r}")
+    return values
+
+
+def _grid(name: str, text: str) -> list[float]:
+    """The grid for driver parameter ``name``; a bad grid is an error naming it."""
     try:
         return parse_range(text)
     except ValueError as e:
-        raise ConfigError(f"{flag}: {e}") from None
-
-
-def _levels(text: str) -> list[int]:
-    """The --l-values grid: distinct integer sparsity levels."""
-    values = _grid("--l-values", text)
-    for i, x in enumerate(values):
-        if not x.is_integer():
-            raise ConfigError(f"--l-values: sparsity level {x:g} is not an integer")
-        if x in values[:i]:
-            raise ConfigError(f"--l-values: sparsity level {x:g} is repeated")
-    return [int(x) for x in values]
+        raise ValueError(f"{name}: {e}") from None
 
 
 def _write(args, text: str) -> None:
@@ -105,10 +136,9 @@ def _write_csv(args, cfg: SystemConfig, fieldnames: list[str], rows: list[dict],
     _write(args, buf.getvalue())
 
 
-def _write_points(args, cfg: SystemConfig, cls, points: list,
-                  comments: list[str]) -> None:
+def _write_points(args, cfg: SystemConfig, points: list, comments: list[str]) -> None:
     """One CSV row per result point, one column per field of its dataclass."""
-    _write_csv(args, cfg, [f.name for f in dataclasses.fields(cls)],
+    _write_csv(args, cfg, [f.name for f in dataclasses.fields(points[0])],
                [dataclasses.asdict(p) for p in points], comments)
 
 
@@ -122,8 +152,7 @@ def _fmt(v):
 # subcommands
 # ----------------------------------------------------------------------
 
-def _cmd_encode(args) -> int:
-    cfg = _load_config(args)
+def _cmd_encode(args, cfg: SystemConfig) -> None:
     mapping = MappingTable.load(args.mapping, cfg) if args.mapping else None
     sel = encode(args.bits, cfg, mapping)
     payload = {
@@ -139,81 +168,42 @@ def _cmd_encode(args) -> int:
         "config_hash": cfg.config_hash(),
     }
     _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0
 
 
-def _cmd_ambiguity(args) -> int:
-    cfg = _load_config(args)
-    if args.points < 1:
-        raise ConfigError(f"--points must be at least 1, got {args.points}")
-    if args.mc < 0:
-        raise ConfigError(f"--mc must be nonnegative, got {args.mc}")
+def _cmd_ambiguity(args, cfg: SystemConfig) -> None:
     rows = harness.run_ambiguity(
         cfg, axis=args.axis, points=args.points, extent=args.extent,
         mc_cpis=args.mc, seed=cfg.seed,
     )
-    fields = ["df_range", "df_velocity", "df_angle", "af_expected"]
-    if args.mc > 0:
-        fields.append("af_mc")
-    _write_csv(args, cfg, fields, rows,
+    _write_csv(args, cfg, list(rows[0]), rows,
                comments=[f"axis: {args.axis}", f"mc_cpis: {args.mc}"])
-    return 0
 
 
-def _cmd_phase_transition(args) -> int:
-    cfg = _load_config(args)
-    try:
-        variants = harness.parse_variants(cfg, args.variants)
-    except ValueError as e:
-        raise ConfigError(f"--variants: {e}") from None
+def _cmd_phase_transition(args, cfg: SystemConfig) -> None:
+    variants = harness.parse_variants(cfg, args.variants)
+    # the empirical flags default to None, so the sweep's defaults apply
+    given = {name: getattr(args, name) for name in ("l_values", "trials", "workers")
+             if getattr(args, name) is not None}
     if args.mode == "theory":
-        given = [f"--{name.replace('_', '-')}" for name in ("l_values", "trials", "workers")
-                 if getattr(args, name) is not None]
         if given:
-            raise ConfigError(f"{', '.join(given)} only apply to --mode empirical")
+            raise ValueError(f"{', '.join(given)} only apply to --mode empirical")
         rows = harness.run_phase_transition_theory(cfg, variants)
-        _write_csv(args, cfg, ["variant", "n1", "n2", "l_star", "beta_star",
-                               "l_star_approx"], rows)
-        return 0
-    given_levels = None if args.l_values is None else _levels(args.l_values)
-    all_rows = []
-    summary = {}
-    for name, vcfg in variants:
-        theory = harness.phase_transition.solve_threshold(vcfg.n1, vcfg.n2)
-        if given_levels is not None:
-            l_values = given_levels
-        else:
-            hi = max(3, int(math.ceil(theory.l_star * 2.0)))
-            l_values = list(range(1, hi + 1))
-        rows, crossing = harness.run_phase_transition_empirical(
-            vcfg, l_values, 100 if args.trials is None else args.trials,
-            seed=vcfg.seed, workers=1 if args.workers is None else args.workers,
-        )
-        for r in rows:
-            r["variant"] = name
-            all_rows.append(r)
-        summary[name] = {"theory_l_star": theory.l_star, "empirical_crossing": crossing}
-    _write_csv(
-        args, cfg, ["variant", "l_sparse", "trials", "successes", "success_rate"],
-        all_rows,
-        comments=[f"crossing(0.6): {json.dumps(summary, sort_keys=True)}"],
-    )
-    return 0
+        comments = []
+    else:
+        if "l_values" in given:
+            given["l_values"] = _grid("l_values", given["l_values"])
+        rows, summary = harness.run_phase_transition_sweep(cfg, variants, **given)
+        comments = [f"crossing(0.6): {json.dumps(summary, sort_keys=True)}"]
+    _write_csv(args, cfg, list(rows[0]), rows, comments)
 
 
-def _cmd_hit_rate(args) -> int:
-    cfg = _load_config(args)
-    if args.scene == "fixed" and args.n_targets is not None:
-        raise ConfigError("--n-targets only applies to --scene random; "
-                          "the fixed scene has 3 targets")
+def _cmd_hit_rate(args, cfg: SystemConfig) -> None:
     points = harness.run_hit_rate(
-        cfg, _grid("--snr", args.snr), trials=args.trials, seed=cfg.seed,
-        scene_mode=args.scene, n_targets=3 if args.n_targets is None else args.n_targets,
+        cfg, _grid("snr_db_list", args.snr), trials=args.trials, seed=cfg.seed,
+        scene_mode=args.scene, n_targets=args.n_targets,
         solver=args.solver, workers=args.workers,
     )
-    _write_points(args, cfg, HitRatePoint, points,
-                  [f"scene: {args.scene}", f"solver: {args.solver}"])
-    return 0
+    _write_points(args, cfg, points, [f"scene: {args.scene}", f"solver: {args.solver}"])
 
 
 def _read_scene(path, cfg: SystemConfig) -> list[Target]:
@@ -241,12 +231,8 @@ def _read_scene(path, cfg: SystemConfig) -> list[Target]:
     return targets
 
 
-def _cmd_recovery_map(args) -> int:
-    cfg = _load_config(args)
-    if args.scene_file:
-        scene = _read_scene(args.scene_file, cfg)
-    else:
-        scene = harness.reference_scene(cfg)
+def _cmd_recovery_map(args, cfg: SystemConfig) -> None:
+    scene = _read_scene(args.scene_file, cfg) if args.scene_file else harness.reference_scene(cfg)
     true_rows, rec_rows = harness.run_recovery_map(
         cfg, scene, snr_db=args.snr, solver=args.solver, seed=cfg.seed,
         full_chain=not args.direct, dump_cube_path=args.dump_cube,
@@ -255,46 +241,37 @@ def _cmd_recovery_map(args) -> int:
     _write_csv(args, cfg, fields, true_rows + rec_rows,
                comments=[f"solver: {args.solver}",
                          f"snr_db: {'noiseless' if args.snr is None else args.snr}"])
-    return 0
 
 
-def _cmd_comm_ber(args) -> int:
-    cfg = _load_config(args)
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+def _cmd_comm_ber(args, cfg: SystemConfig) -> None:
     points = harness.run_comm_ber(
-        cfg, _grid("--snr", args.snr), channels=args.channels, draws=args.draws,
-        schemes=schemes, seed=cfg.seed,
+        cfg, _grid("snr_db_list", args.snr), channels=args.channels, draws=args.draws,
+        schemes=args.schemes, seed=cfg.seed,
     )
-    _write_points(args, cfg, BerPoint, points,
-                  [f"channels: {args.channels}", f"draws: {args.draws}"])
-    return 0
+    _write_points(args, cfg, points, [f"channels: {args.channels}", f"draws: {args.draws}"])
 
 
-def _cmd_comm_rate(args) -> int:
-    cfg = _load_config(args)
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+def _cmd_comm_rate(args, cfg: SystemConfig) -> None:
     points = harness.run_comm_rate(
-        cfg, _grid("--snr", args.snr), channels=args.channels, draws=args.draws,
-        schemes=schemes, seed=cfg.seed,
+        cfg, _grid("snr_db_list", args.snr), channels=args.channels, draws=args.draws,
+        schemes=args.schemes, seed=cfg.seed,
     )
-    _write_points(args, cfg, RatePoint, points,
-                  [f"channels: {args.channels}", f"draws: {args.draws}"])
-    return 0
+    _write_points(args, cfg, points, [f"channels: {args.channels}", f"draws: {args.draws}"])
 
 
-def _cmd_resolution_report(args) -> int:
-    cfg = _load_config(args)
+def _cmd_resolution_report(args, cfg: SystemConfig) -> None:
     rows = harness.resolution_report(cfg)
-    _write_csv(args, cfg, list(rows[0].keys()), rows)
-    return 0
+    _write_csv(args, cfg, list(rows[0]), rows)
 
 
-def _cmd_hw_report(args) -> int:
-    cfg = _load_config(args)
+def _cmd_hw_report(args, cfg: SystemConfig) -> None:
     rows, formulas = harness.hw_report(cfg)
-    _write_csv(args, cfg, ["quantity", "frac", "benchmark", "ratio"], rows,
-               comments=formulas)
-    return 0
+    _write_csv(args, cfg, list(rows[0]), rows, comments=formulas)
+
+
+def _schemes(text: str) -> tuple[str, ...]:
+    """A --schemes value: the comma list's non-blank names."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _workers(text: str) -> int:
@@ -368,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", default="0:2:20")
     p.add_argument("--channels", type=int, default=100)
     p.add_argument("--draws", type=int, default=100, help="messages per channel")
-    p.add_argument("--schemes", default="frac-ml,frac-sod,psk64-ml")
+    p.add_argument("--schemes", type=_schemes, default="frac-ml,frac-sod,psk64-ml")
     p.set_defaults(func=_cmd_comm_ber)
 
     p = add("comm-rate", help="achievable rate of the discrete alphabet")
     p.add_argument("--snr", default="-10:5:30")
     p.add_argument("--channels", type=int, default=100)
     p.add_argument("--draws", type=int, default=100)
-    p.add_argument("--schemes", default="frac-j2,frac-j4")
+    p.add_argument("--schemes", type=_schemes, default="frac-j2,frac-j4")
     p.set_defaults(func=_cmd_comm_rate)
 
     p = add("resolution-report", help="resolutions and spans")
@@ -388,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as e:
-        print(f"frac: error: {e}", file=sys.stderr)
+        args.func(args, _load_config(args))
+        return 0
+    except (ValueError, OSError) as e:
+        print(f"frac: error: {_flag_message(str(e))}", file=sys.stderr)
         return 2
     except NonConvergenceError as e:
         print(f"frac: solver did not converge: {e}", file=sys.stderr)

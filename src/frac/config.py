@@ -95,16 +95,18 @@ class SystemConfig:
             )
         if self.J < 2 or (self.J & (self.J - 1)) != 0:
             raise ConfigError(f"J must be a power of two >= 2, got {self.J}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name in ("f_c", "B", "T_0", "T_p", "c"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ConfigError(f"{name} must be positive, got {v!r}")
+            if not 0 < v < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
         if self.T_p > self.T_0 * (1 + 1e-12):
             raise ConfigError(f"T_p={self.T_p} exceeds the PRI T_0={self.T_0}")
         for name in ("F_s_radar", "r_max", "d_R", "F_s_comm"):
             v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ConfigError(f"{name} must be positive when given, got {v!r}")
+            if v is not None and not 0 < v < math.inf:
+                raise ConfigError(f"{name} must be positive and finite when given, got {v!r}")
         if self.F_s_radar is None and self.r_max is None:
             raise ConfigError("one of F_s_radar or r_max is required")
         if self.F_s_radar is not None and self.r_max is not None:

@@ -40,7 +40,6 @@ from .radar_sim import (
 
 __all__ = [
     "HitRatePoint",
-    "parse_range",
     "parse_variants",
     "reference_scene",
     "snap_to_grid",
@@ -49,6 +48,7 @@ __all__ = [
     "run_ambiguity",
     "run_phase_transition_theory",
     "run_phase_transition_empirical",
+    "run_phase_transition_sweep",
     "run_comm_ber",
     "run_comm_rate",
     "resolution_report",
@@ -69,57 +69,30 @@ class HitRatePoint:
     ci_high: float
 
 
-def parse_range(text: str) -> list[float]:
-    """SNR grids: 'start:step:stop' (inclusive stop) or a comma list.
-
-    The grid must be non-empty and every value finite.
-    """
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range syntax is start:step:stop, got {text!r}")
-        start, step, stop = (float(p) for p in parts)
-        if not all(map(math.isfinite, (start, step, stop))):
-            raise ValueError(f"range bounds and step must be finite, got {text!r}")
-        if step <= 0:
-            raise ValueError(f"range step must be positive, got {step}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
-            raise ValueError(f"empty range {text!r}")
-        return [start + i * step for i in range(n)]
-    values = [float(p) for p in text.split(",") if p.strip()]
-    if not values:
-        raise ValueError(f"empty grid {text!r}")
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"grid values must be finite, got {text!r}")
-    return values
-
-
-def parse_variants(cfg: SystemConfig, text: str) -> list[tuple[str, SystemConfig]]:
+def parse_variants(cfg: SystemConfig, variants: str) -> list[tuple[str, SystemConfig]]:
     """Comma list of 'base' or 'FIELD=INT' entries into labeled configs.
 
     The list must be non-empty and name no variant twice.
     """
     out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if any(item == name for name, _ in out):
-            raise ValueError(f"variant {item!r} is repeated")
-        if item == "base":
-            out.append(("base", cfg))
-            continue
-        if "=" not in item:
-            raise ValueError(f"variant must be 'base' or FIELD=VALUE, got {item!r}")
-        field, val = item.split("=", 1)
-        field = field.strip()
-        if field not in COUNT_FIELDS:
-            raise ValueError(f"variant field {field!r} is not an integer count")
-        out.append((item, cfg.replace(**{field: int(val)})))
-    if not out:
-        raise ValueError(f"empty variant list {text!r}")
+    try:
+        for item in filter(None, (s.strip() for s in variants.split(","))):
+            field, eq, val = (s.strip() for s in item.partition("="))
+            if any(item == name for name, _ in out):
+                raise ValueError(f"variant {item!r} is repeated")
+            if item == "base":
+                out.append(("base", cfg))
+            elif not eq:
+                raise ValueError(f"variant must be 'base' or FIELD=VALUE, got {item!r}")
+            elif field not in COUNT_FIELDS:
+                raise ValueError(f"variant field {field!r} is not an integer count")
+            else:
+                out.append((item, cfg.replace(**{field: int(val)})))
+        if not out:
+            raise ValueError(f"empty variant list {variants!r}")
+    except ValueError as e:
+        # a bad value or an invalid config, too, is an error of this list
+        raise ValueError(f"variants: {e}") from None
     return out
 
 
@@ -235,7 +208,7 @@ def run_hit_rate(
     trials: int,
     seed: int = 0,
     scene_mode: str = "fixed",
-    n_targets: int = 3,
+    n_targets: int | None = None,
     solver: str = "omp",
     workers: int = 1,
 ) -> list[HitRatePoint]:
@@ -243,7 +216,9 @@ def run_hit_rate(
 
     A trial is a hit only when every scatterer's (velocity, range, angle)
     grid triple is recovered in its coarse cell.  Selections, scene and noise
-    shape are drawn once per trial and shared across the SNR grid.
+    shape are drawn once per trial and shared across the SNR grid.  A random
+    scene has ``n_targets`` targets, 3 by default; the fixed scene always has
+    3 and takes no count.
     """
     if scene_mode not in ("fixed", "random"):
         raise ValueError(f"scene_mode must be 'fixed' or 'random', got {scene_mode!r}")
@@ -251,32 +226,27 @@ def run_hit_rate(
         raise ValueError(f"solver must be 'omp' or 'bp', got {solver!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if scene_mode == "fixed" and n_targets is not None:
+        raise ValueError("n_targets only applies to scene_mode random; "
+                         "the fixed scene has 3 targets")
+    n_targets = 3 if n_targets is None else n_targets
     if scene_mode == "random" and not 1 <= n_targets <= cfg.n2:
         raise ValueError(f"n_targets {n_targets} outside [1, n2={cfg.n2}]")
     snr_db_list = _snr_list(snr_db_list)
     chunk = partial(_hit_rate_chunk, cfg, snr_db_list, seed, scene_mode, n_targets, solver)
     hits = np.sum(_map_trials(chunk, _chunk_args(trials, workers), workers), axis=0)
-    out = []
-    for si, snr in enumerate(snr_db_list):
-        lo, hi = _wilson(int(hits[si]), trials)
-        out.append(
-            HitRatePoint(
-                snr_db=snr,
-                trials=trials,
-                hits=int(hits[si]),
-                hit_rate=hits[si] / trials,
-                ci_low=lo,
-                ci_high=hi,
-            )
-        )
-    return out
+    return [HitRatePoint(snr, trials, int(h), h / trials, *_wilson(int(h), trials))
+            for snr, h in zip(snr_db_list, hits)]
 
 
 def _snr_list(snr_db_list) -> list[float]:
-    """The SNR grid as floats; an empty grid would give a table with no rows."""
+    """The SNR grid as finite floats; an empty grid would give a table with
+    no rows, and a NaN SNR a curve of misses."""
     snrs = [float(s) for s in snr_db_list]
     if not snrs:
-        raise ValueError("the SNR list is empty")
+        raise ValueError("snr_db_list: the SNR list is empty")
+    if not all(map(math.isfinite, snrs)):
+        raise ValueError(f"snr_db_list: SNRs must be finite, got {snrs}")
     return snrs
 
 
@@ -319,6 +289,8 @@ def run_recovery_map(
     """Recover a scene once; returns (true_rows, recovered_rows) in physical units."""
     if solver not in ("omp", "bp"):
         raise ValueError(f"solver must be 'omp' or 'bp', got {solver!r}")
+    if snr_db is not None and not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     if dump_cube_path is not None and not full_chain:
         raise ValueError("a cube is only dumped from the full fast-time chain, not --direct")
     rng = np.random.default_rng([seed, _TAG_MAP])
@@ -448,10 +420,29 @@ def _pt_chunk(cfg: SystemConfig, seed: int, job: tuple[int, int, int]) -> int:
     return ok
 
 
+def _default_levels(l_star: float) -> list[int]:
+    """Sparsity levels 1..max(3, ceil(2 L*)): the transition and as far again."""
+    return list(range(1, max(3, math.ceil(l_star * 2.0)) + 1))
+
+
+def _check_levels(cfg: SystemConfig, l_values, where: str = "") -> None:
+    """Levels must be distinct integers in [1, n2]: a repeated level would
+    run and be written twice.  ``where`` ends each message."""
+    if not l_values:
+        raise ValueError(f"l_values: the level list is empty{where}")
+    for i, l in enumerate(l_values):
+        if not 1 <= l <= cfg.n2:
+            raise ValueError(f"l_values: sparsity level {l:g} outside [1, n2={cfg.n2}]{where}")
+        if l != int(l):
+            raise ValueError(f"l_values: sparsity level {l:g} is not an integer{where}")
+        if l in l_values[:i]:
+            raise ValueError(f"l_values: sparsity level {l:g} is repeated{where}")
+
+
 def run_phase_transition_empirical(
     cfg: SystemConfig,
-    l_values: list[int],
-    trials: int,
+    l_values: list[int] | None = None,
+    trials: int = 100,
     seed: int = 0,
     workers: int = 1,
 ) -> tuple[list[dict], float | None]:
@@ -459,16 +450,12 @@ def run_phase_transition_empirical(
 
     Trial t at sparsity L draws from ``default_rng([seed, L, t])``, so the
     curve does not depend on the worker count.  The crossing is None when the
-    curve does not cross 0.6 within ``l_values``.  Levels must be distinct
-    integers: a repeated level would run and be written twice.
+    curve does not cross 0.6 within ``l_values``.  Without ``l_values`` the
+    levels run from 1 to twice the theoretical threshold L*, and at least to 3.
     """
-    for i, l_sparse in enumerate(l_values):
-        if not 1 <= l_sparse <= cfg.n2:
-            raise ValueError(f"sparsity level {l_sparse} outside [1, n2={cfg.n2}]")
-        if l_sparse != int(l_sparse):
-            raise ValueError(f"sparsity level {l_sparse} is not an integer")
-        if l_sparse in l_values[:i]:
-            raise ValueError(f"sparsity level {l_sparse} is repeated")
+    if l_values is None:
+        l_values = _default_levels(phase_transition.solve_threshold(cfg.n1, cfg.n2).l_star)
+    _check_levels(cfg, l_values)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     l_values = [int(l) for l in l_values]
@@ -481,6 +468,34 @@ def run_phase_transition_empirical(
         for l, ok in zip(l_values, oks)
     ]
     return rows, phase_transition.crossing(l_values, [r["success_rate"] for r in rows])
+
+
+def run_phase_transition_sweep(
+    cfg: SystemConfig,
+    variants: list[tuple[str, SystemConfig]],
+    l_values: list[int] | None = None,
+    trials: int = 100,
+    workers: int = 1,
+) -> tuple[list[dict], dict]:
+    """:func:`run_phase_transition_empirical` of each variant that
+    :func:`parse_variants` made from ``cfg``, with the variant's seed.
+
+    Returns one row per variant and level, and per variant its
+    ``theory_l_star`` and ``empirical_crossing``.  Every variant's levels are
+    checked before the first trial runs.
+    """
+    l_star = {name: phase_transition.solve_threshold(v.n1, v.n2).l_star for name, v in variants}
+    levels = {name: _default_levels(l) if l_values is None else l_values
+              for name, l in l_star.items()}
+    for name, vcfg in variants:
+        _check_levels(vcfg, levels[name], f" in variant {name!r}")
+    rows, summary = [], {}
+    for name, vcfg in variants:
+        vrows, crossing = run_phase_transition_empirical(
+            vcfg, levels[name], trials, seed=vcfg.seed, workers=workers)
+        rows += [{"variant": name, **r} for r in vrows]
+        summary[name] = {"theory_l_star": l_star[name], "empirical_crossing": crossing}
+    return rows, summary
 
 
 def _psk_baseline(cfg: SystemConfig, order: int) -> SystemConfig:

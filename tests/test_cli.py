@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from frac import cli
+from frac import cli, harness
 from frac.config import SystemConfig, reference_config
-from frac.harness import run_hit_rate, snap_to_grid
+from frac.harness import parse_variants, run_hit_rate, run_phase_transition_sweep, snap_to_grid
 from frac.im_codec import PulseSelection, random_selection_sequence
 from frac.radar_recovery import NonConvergenceError
 from frac.radar_sim import load_cube
@@ -161,6 +162,43 @@ def test_phase_transition_theory_rejects_empirical_flags(flags, capsys):
     for flag in flags[::2]:
         assert flag in err
     assert "--mode empirical" in err
+
+
+PT_BENCH = ["--variants", "base", "--N", "16", "--M", "8", "--K", "1", "--P", "4",
+            "--Q_r", "2"]
+
+
+@pytest.mark.parametrize("argv, kwargs", [
+    # the setup invocation of the phase_transition_bp benchmark workload
+    (PT_BENCH + ["--l-values", "3", "--trials", "1"], dict(l_values=[3], trials=1)),
+    # default levels, two variants
+    (["--variants", "base,N=4", "--trials", "2"] + TINY, dict(trials=2)),
+])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sweep_reproduces_the_cli(argv, kwargs, seed, tmp_path):
+    out = tmp_path / "pt.csv"
+    argv = argv + ["--seed", str(seed)]
+    assert cli.main(["phase-transition", "--mode", "empirical", "--out", str(out)] + argv) == 0
+    comments, rows = _read_csv(out)
+    cfg = cli._load_config(cli.build_parser().parse_args(["phase-transition"] + argv))
+    want, summary = run_phase_transition_sweep(
+        cfg, parse_variants(cfg, argv[argv.index("--variants") + 1]), **kwargs)
+    assert rows == [{k: str(cli._fmt(v)) for k, v in r.items()} for r in want]
+    assert comments[-1] == f"# crossing(0.6): {json.dumps(summary, sort_keys=True)}"
+
+
+def test_sweep_fails_before_a_trial_naming_the_flag_and_variant(tmp_path, monkeypatch,
+                                                               capsys):
+    # this used to run every trial of 'base' and then name neither
+    # --l-values nor the variant whose grid level 200 exceeds
+    monkeypatch.setattr("frac.phase_transition.recovery_trial", _never_called)
+    out = tmp_path / "pt.csv"
+    argv = ["phase-transition", "--mode", "empirical", "--variants", "base,N=2",
+            "--l-values", "1,3,200", "--trials", "5", "--out", str(out)] + PT_BENCH[2:]
+    assert cli.main(argv) == 2
+    assert ("frac: error: --l-values: sparsity level 200 outside [1, n2=128] "
+            "in variant 'N=2'") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_phase_transition_empirical_defaults():
@@ -553,6 +591,26 @@ def test_phase_transition_bad_levels_or_variants_exit_2(mode, variants, l_values
     assert cli.main(argv + TINY) == 2
     assert f"frac: error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _drivers_of(func):
+    """The harness drivers a subcommand function calls by name."""
+    return [getattr(harness, n) for n in func.__code__.co_names if n.startswith("run_")]
+
+
+def test_flag_table_names_flags_of_the_drivers_callers():
+    sub = cli.build_parser()._subparsers._group_actions[0]
+    flags = {name: p._option_string_actions for name, p in sub.choices.items()}
+    callers = {name: _drivers_of(p.get_default("func")) for name, p in sub.choices.items()}
+    for param, flag in cli._FLAGS.items():
+        drivers = [d for d in vars(harness).values() if inspect.isfunction(d)
+                   and d.__name__.startswith("run_")
+                   and param in inspect.signature(d).parameters]
+        assert drivers, f"{param} is no parameter of a harness driver"
+        commands = [c for c, ds in callers.items() if set(ds) & set(drivers)]
+        assert commands, f"no subcommand calls a driver that takes {param}"
+        for command in commands:
+            assert flag in flags[command], f"{command} has no {flag} for {param}"
 
 
 def test_nonconvergence_exits_3(monkeypatch, capsys):

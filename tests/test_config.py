@@ -115,6 +115,28 @@ def test_validation_rejects_bool_counts(name):
         reference_config(**{name: True})
 
 
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(SystemConfig) if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_validation_rejects_nonfinite_floats(name, value):
+    # an infinite f_c, d_R or c used to pass, and an infinite B or T_0 ended
+    # in an OverflowError from the sample counts
+    cfg = reference_config()
+    changes = {name: value}
+    if name == "r_max":
+        changes["F_s_radar"] = None
+    with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+        cfg.replace(**changes)
+
+
+@pytest.mark.parametrize("seed", [-1, True, False, 1.0, "0"])
+def test_validation_rejects_a_seed_that_is_no_nonnegative_int(seed):
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+        reference_config(seed=seed)
+
+
 def test_count_fields_are_the_integer_fields_but_the_seed():
     ints = [f.name for f in dataclasses.fields(SystemConfig) if f.type == "int"]
     assert ints[-1] == "seed"

@@ -1,15 +1,17 @@
 """Experiment drivers: parsing, determinism across workers, end-to-end runs."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import frac.harness
+from frac.cli import parse_range
 from frac.config import COUNT_FIELDS, SystemConfig, reference_config
 from frac.harness import (
+    _default_levels,
     hw_report,
-    parse_range,
     parse_variants,
     reference_scene,
     resolution_report,
@@ -57,7 +59,7 @@ def test_parse_range():
 
 
 @pytest.mark.parametrize("text", [
-    "", " ", ",", " , ", "nan", "1,inf", "-inf", "0:nan:5", "nan:1:3", "0:1:inf", "-inf:1:0",
+    "", " ", ",", " , ", "0:nan:5", "nan:1:3", "0:1:inf", "-inf:1:0",
 ])
 def test_parse_range_rejects_empty_and_nonfinite_grids(text):
     with pytest.raises(ValueError, match="empty|finite"):
@@ -268,8 +270,44 @@ def test_hit_rate_rejects_random_target_count_outside_grid(n_targets):
     assert cfg.n2 == 64
     with pytest.raises(ValueError, match=f"n_targets {n_targets} outside"):
         run_hit_rate(cfg, [10.0], trials=2, scene_mode="random", n_targets=n_targets)
-    # the fixed scene does not read n_targets
-    assert run_hit_rate(cfg, [30.0], trials=1, n_targets=n_targets)[0].trials == 1
+
+
+@pytest.mark.parametrize("scene_mode", [{}, dict(scene_mode="fixed")])
+@pytest.mark.parametrize("n_targets", [3, 7, 0])
+def test_hit_rate_fixed_scene_rejects_a_target_count(scene_mode, n_targets, monkeypatch):
+    # the fixed scene always has 3 targets; a count used to be ignored
+    monkeypatch.setattr(frac.harness, "_hit_rate_trial", _never_called)
+    with pytest.raises(ValueError, match="n_targets only applies to scene_mode random"):
+        run_hit_rate(tiny_radar(), [10.0], trials=2, n_targets=n_targets, **scene_mode)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("simulation started")
+
+
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("run, kwargs", [
+    (run_hit_rate, dict(trials=1)),
+    (run_comm_ber, dict(channels=1, draws=2)),
+    (run_comm_rate, dict(channels=1, draws=2)),
+])
+def test_drivers_reject_a_nonfinite_snr(run, kwargs, snr, monkeypatch):
+    # a NaN SNR used to give a hit rate of 0, BER rows or a NaN rate
+    monkeypatch.setattr(frac.harness, "_hit_rate_trial", _never_called)
+    monkeypatch.setattr(frac.harness.comm, "ber_curve", _never_called)
+    monkeypatch.setattr(frac.harness.comm, "rate_curve", _never_called)
+    cfg = tiny_radar() if run is run_hit_rate else tiny_comm()
+    with pytest.raises(ValueError, match=r"snr_db_list: SNRs must be finite, got \[10.0, "):
+        run(cfg, [10.0, snr], **kwargs)
+
+
+@pytest.mark.parametrize("snr", [np.nan, np.inf])
+def test_recovery_map_rejects_a_nonfinite_snr_before_drawing(snr, monkeypatch):
+    # it used to fail after the draw, naming sigma_r
+    monkeypatch.setattr(frac.harness, "random_selection_sequence", _never_called)
+    cfg = tiny_radar()
+    with pytest.raises(ValueError, match=f"snr_db must be finite, got {snr}"):
+        run_recovery_map(cfg, reference_scene(cfg), snr_db=snr)
 
 
 def test_hit_rate_random_scene_accepts_full_grid():
@@ -429,10 +467,20 @@ def test_drivers_reject_fewer_than_one_worker(workers, monkeypatch):
     ([1, 2, 1], "level 1 is repeated"),
     ((2, 4, 2), "level 2 is repeated"),
     ([1, 2.5], "level 2.5 is not an integer"),
+    ([], "l_values: the level list is empty"),
 ])
 def test_run_phase_transition_rejects_repeated_or_fractional_levels(l_values, message):
     with pytest.raises(ValueError, match=message):
         run_phase_transition_empirical(tiny_radar(), l_values, trials=1)
+
+
+def test_run_phase_transition_empirical_default_levels():
+    cfg = tiny_radar()
+    l_star = frac.phase_transition.solve_threshold(cfg.n1, cfg.n2).l_star
+    rows, _ = run_phase_transition_empirical(cfg, trials=1)
+    assert [r["l_sparse"] for r in rows] == _default_levels(l_star)
+    assert _default_levels(l_star) == list(range(1, math.ceil(2 * l_star) + 1))
+    assert _default_levels(0.4) == [1, 2, 3]
 
 
 def test_run_phase_transition_one_worker_runs_in_process(monkeypatch):
