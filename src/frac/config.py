@@ -109,6 +109,16 @@ class SystemConfig:
                 raise ConfigError(f"{name} must be positive and finite when given, got {v!r}")
         if self.F_s_radar is None and self.r_max is None:
             raise ConfigError("one of F_s_radar or r_max is required")
+        # finite fields can still overflow or underflow what derives from them
+        for name, v in (("delta_f", self.delta_f), ("f_s_radar", self.f_s_radar),
+                        ("range_max", self.range_max),
+                        ("range_resolution", self.range_resolution),
+                        ("coarse_cell_width", self.coarse_cell_width),
+                        ("velocity_resolution", self.velocity_resolution),
+                        ("T_0 * F_s_radar", self.T_0 * self.f_s_radar),
+                        ("T_p * F_s_comm", self.T_p * self.f_s_comm)):
+            if not 0 < v < math.inf:
+                raise ConfigError(f"derived {name} must be positive and finite, got {v!r}")
         if self.F_s_radar is not None and self.r_max is not None:
             implied = 2.0 * self.r_max * self.delta_f / (self.c * self.T_0)
             if abs(implied - self.F_s_radar) > 1e-6 * self.F_s_radar:

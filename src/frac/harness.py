@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial, wraps
 
 import numpy as np
 
@@ -57,6 +57,70 @@ __all__ = [
 
 _TAG_HIT = 101
 _TAG_MAP = 211
+
+# the variables by which a user sets OpenBLAS's thread count: when one is
+# set, the drivers leave the count alone
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@cache
+def _openblas() -> tuple:
+    """(set, get) thread-count functions of each OpenBLAS loaded in this
+    process, read from /proc/self/maps on the first call; empty without one
+    (MKL, Accelerate, or no /proc)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((set_, get))
+                break
+    return tuple(found)
+
+
+def _set_blas_threads(n: int) -> list:
+    """Set every loaded OpenBLAS to ``n`` threads unless the user chose a
+    count through the environment; returns (set, previous count) pairs."""
+    import os
+
+    if any(name in os.environ for name in _BLAS_ENV):
+        return []
+    saved = [(set_, get()) for set_, get in _openblas()]
+    for set_, _ in saved:
+        set_(n)
+    return saved
+
+
+def _one_blas_thread(fn):
+    """Run the driver ``fn`` on one BLAS thread and restore the caller's count.
+
+    Its products are small (a 32 x 1024 dictionary, 32 x 32 Grams): a second
+    thread costs about twice the CPU per trial for little or no gain in wall
+    time, and takes the core that a second pool worker would use.  The count
+    belongs to the process: drivers that overlap in several threads each
+    restore the count they found when they started.
+    """
+    @wraps(fn)
+    def pinned(*args, **kwargs):
+        saved = _set_blas_threads(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            for set_, n in reversed(saved):
+                set_(n)
+    return pinned
 
 
 @dataclass(frozen=True)
@@ -202,6 +266,7 @@ def _wilson(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+@_one_blas_thread
 def run_hit_rate(
     cfg: SystemConfig,
     snr_db_list,
@@ -264,8 +329,9 @@ def _map_trials(fn, jobs: list, workers: int) -> list:
     """``fn`` over every job: inline for one worker, else in one process pool.
 
     Workers are spawned, not forked, since the BLAS library may already run
-    threads in this process.  The pool modules are imported only here, so a
-    one-worker run never loads them.
+    threads in this process, and each sets its own BLAS to one thread as it
+    starts.  The pool modules are imported only here, so a one-worker run
+    never loads them.
     """
     if workers == 1 or len(jobs) == 1:
         return [fn(job) for job in jobs]
@@ -273,10 +339,12 @@ def _map_trials(fn, jobs: list, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn,
+                             initializer=_set_blas_threads, initargs=(1,)) as pool:
         return list(pool.map(fn, jobs))
 
 
+@_one_blas_thread
 def run_recovery_map(
     cfg: SystemConfig,
     scene: list[Target],
@@ -353,6 +421,7 @@ def run_recovery_map(
     return true_rows, rec_rows
 
 
+@_one_blas_thread
 def run_ambiguity(
     cfg: SystemConfig,
     axis: str = "range",
@@ -439,6 +508,7 @@ def _check_levels(cfg: SystemConfig, l_values, where: str = "") -> None:
             raise ValueError(f"l_values: sparsity level {l:g} is repeated{where}")
 
 
+@_one_blas_thread
 def run_phase_transition_empirical(
     cfg: SystemConfig,
     l_values: list[int] | None = None,
@@ -515,6 +585,7 @@ def _check_schemes(schemes) -> None:
         seen.add(s)
 
 
+@_one_blas_thread
 def run_comm_ber(
     cfg: SystemConfig,
     snr_db_list,
@@ -555,6 +626,7 @@ def run_comm_ber(
     return out
 
 
+@_one_blas_thread
 def run_comm_rate(
     cfg: SystemConfig,
     snr_db_list,

@@ -226,6 +226,7 @@ def omp_recover(
         raise ValueError(f"snapshot length {Y.shape[-1]} != dictionary rows {n_rows}")
     if not 0 <= n_targets <= n_cols:
         raise ValueError(f"n_targets {n_targets} outside [0, n2={n_cols}]")
+    _check_finite(Y)
     Y2 = Y.reshape(-1, n_rows)
 
     rows = np.arange(Y2.shape[0])[:, None]
@@ -271,6 +272,13 @@ def _refit(cols: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in np.flatnonzero(~full):
         coeffs[i] = np.linalg.lstsq(cols[i], Y[i], rcond=None)[0]
     return coeffs, Y - (cols @ coeffs[:, :, None])[..., 0]
+
+
+def _check_finite(y: np.ndarray) -> None:
+    """A NaN or inf entry would make every correlation and residual NaN: OMP
+    would pick column 0 at every step and BP iterate to its cap."""
+    if not np.isfinite(y).all():
+        raise ValueError("snapshots must be finite; got a NaN or inf entry")
 
 
 def default_bp_eps(cfg: SystemConfig, sigma_r: float) -> float:
@@ -330,8 +338,10 @@ def bp_recover(
     Without ``l1_bound`` the iterates, iteration count and result are those
     of the plain ADMM solve.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if on_limit not in ("raise", "return"):
@@ -342,6 +352,7 @@ def bp_recover(
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"snapshot length {y.shape[0]} != dictionary rows {A.shape[0]}")
+    _check_finite(y)
     n_rows, n_cols = A.shape
     y_norm = _norm(y)
     rho = 1.0

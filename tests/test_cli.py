@@ -460,6 +460,18 @@ def test_invalid_config_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--T_0", "1e305"],           # used to end in an OverflowError traceback
+    ["--F_s_radar", "1e305"],     # used to write max_range_m = inf
+    ["--B", "1e308", "--M", "1"],  # used to write a range resolution of 0
+])
+def test_config_whose_derived_quantities_overflow_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "res.csv"
+    assert cli.main(["resolution-report", *argv, "--out", str(out)]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--trials", "0"], "trials must be at least 1, got 0"),
     (["--scene", "random", "--n-targets", "0"], "n_targets 0 outside"),
@@ -636,6 +648,21 @@ def test_cli_import_loads_no_process_pool():
     # the pool modules load only when a run asks for several workers
     code = ("import sys, frac.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_its_own_modules_past_its_imports():
+    # frac.cli adds frac's modules and nothing else to what numpy and the
+    # stdlib modules that frac imports at module level load: every other
+    # import (the process pool, ctypes for the BLAS thread count) is lazy
+    code = ("import sys, numpy, __future__, argparse, csv, dataclasses, functools, hashlib, "
+            "io, json, math, operator, struct, warnings\n"
+            "before = set(sys.modules)\n"
+            "import frac.cli\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'frac'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -131,6 +131,18 @@ def test_validation_rejects_nonfinite_floats(name, value):
         cfg.replace(**changes)
 
 
+@pytest.mark.parametrize("overrides, quantity", [
+    (dict(T_0=1e305), "range_max"),           # used to raise OverflowError from G
+    (dict(F_s_radar=1e305), "range_max"),     # used to report an infinite max range
+    (dict(B=1e308, M=1), "range_max"),        # used to report a range resolution of 0
+    (dict(T_0=1e307, F_s_radar=1e-301), "velocity_resolution"),
+    (dict(F_s_comm=1e305, T_p=1e5, T_0=1e5, F_s_radar=1e-3), "T_p \\* F_s_comm"),
+])
+def test_validation_rejects_finite_floats_that_overflow_derived_quantities(overrides, quantity):
+    with pytest.raises(ConfigError, match=f"derived {quantity} must be positive and finite"):
+        reference_config(**overrides)
+
+
 @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "0"])
 def test_validation_rejects_a_seed_that_is_no_nonnegative_int(seed):
     with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -563,6 +564,116 @@ def test_drivers_reject_an_empty_snr_list(run, kwargs):
     cfg = tiny_radar() if run is run_hit_rate else tiny_comm()
     with pytest.raises(ValueError, match="SNR list is empty"):
         run(cfg, [], **kwargs)
+
+
+# ----------------------------------------------------------------------
+# one BLAS thread per driver
+# ----------------------------------------------------------------------
+
+needs_openblas = pytest.mark.skipif(not frac.harness._openblas(), reason="no OpenBLAS loaded")
+
+
+def _blas_threads() -> list[int]:
+    return [get() for _, get in frac.harness._openblas()]
+
+
+def _blas_threads_in_worker(job) -> list[int]:
+    return _blas_threads()
+
+
+@pytest.fixture
+def two_blas_threads(monkeypatch):
+    """The caller runs OpenBLAS on 2 threads, so that a pin to 1 shows."""
+    for name in frac.harness._BLAS_ENV:
+        monkeypatch.delenv(name, raising=False)
+    saved = frac.harness._set_blas_threads(2)
+    yield
+    for set_, n in saved:
+        set_(n)
+
+
+# each driver with a kernel it calls while it works
+PINNED = [
+    pytest.param(lambda: run_hit_rate(tiny_radar(), [10.0], trials=2),
+                 frac.harness, "_hit_rate_trial", id="run_hit_rate"),
+    pytest.param(lambda: run_phase_transition_empirical(tiny_radar(), [1, 2], trials=2),
+                 frac.harness.phase_transition, "recovery_trial",
+                 id="run_phase_transition_empirical"),
+    pytest.param(lambda: frac.harness.run_phase_transition_sweep(
+                     tiny_radar(), parse_variants(tiny_radar(), "base"), [1], trials=1),
+                 frac.harness.phase_transition, "recovery_trial",
+                 id="run_phase_transition_sweep"),
+    pytest.param(lambda: run_comm_ber(tiny_comm(), [10.0], channels=1, draws=2),
+                 frac.harness.comm, "ber_curve", id="run_comm_ber"),
+    pytest.param(lambda: run_comm_rate(tiny_comm(), [10.0], channels=1, draws=2),
+                 frac.harness.comm, "rate_curve", id="run_comm_rate"),
+    pytest.param(lambda: run_ambiguity(tiny_radar(), points=3, mc_cpis=1),
+                 frac.harness, "expected_af", id="run_ambiguity"),
+    pytest.param(lambda: run_recovery_map(tiny_radar(), reference_scene(tiny_radar())),
+                 frac.harness, "build_dictionary", id="run_recovery_map"),
+]
+
+
+@needs_openblas
+@pytest.mark.parametrize("run, module, kernel", PINNED)
+def test_drivers_run_on_one_blas_thread_and_restore_the_callers(
+        run, module, kernel, two_blas_threads, monkeypatch):
+    seen = []
+    original = getattr(module, kernel)
+
+    def spy(*args, **kwargs):
+        seen.append(_blas_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, kernel, spy)
+    run()
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert _blas_threads() == [2] * len(seen[0])
+
+
+@needs_openblas
+@pytest.mark.parametrize("run, module, kernel", PINNED)
+def test_a_driver_that_raises_restores_the_callers_blas_threads(
+        run, module, kernel, two_blas_threads, monkeypatch):
+    def fails(*args, **kwargs):
+        assert _blas_threads()[0] == 1
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(module, kernel, fails)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        run()
+    assert set(_blas_threads()) == {2}
+
+
+@needs_openblas
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_blas_thread_count_set_by_the_user_is_left_alone(name, two_blas_threads, monkeypatch):
+    seen = []
+    original = frac.harness.comm.ber_curve
+
+    def spy(*args, **kwargs):
+        seen.append(_blas_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setenv(name, "2")
+    monkeypatch.setattr(frac.harness.comm, "ber_curve", spy)
+    run_comm_ber(tiny_comm(), [10.0], channels=1, draws=2)
+    assert seen and all(set(counts) == {2} for counts in seen)
+
+
+@needs_openblas
+def test_pool_workers_run_on_one_blas_thread(two_blas_threads):
+    counts = frac.harness._map_trials(_blas_threads_in_worker, [0, 1], 2)
+    assert all(set(c) == {1} for c in counts)
+    assert set(_blas_threads()) == {2}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_leaves_the_callers_environment_and_blas_threads(workers):
+    env, threads = dict(os.environ), _blas_threads()
+    run_hit_rate(tiny_radar(), [10.0], trials=4, workers=workers)
+    run_phase_transition_empirical(tiny_radar(), [1, 2], trials=2, workers=workers)
+    assert dict(os.environ) == env and _blas_threads() == threads
 
 
 # ----------------------------------------------------------------------

@@ -385,6 +385,36 @@ def test_bp_raises_then_returns(dic):
         bp_recover(y, dic, on_limit="explode")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_solvers_reject_a_nonfinite_snapshot(dic, bad):
+    # OMP used to return the support (0, 0, 0) and BP to iterate to its cap
+    y, _ = _planted(dic, [5, 9, 40], np.array([1.0, 1.0j, -1.0]))
+    y = y.astype(np.complex128)
+    y[3] = bad
+    with pytest.raises(ValueError, match="snapshots must be finite"):
+        omp_recover(y, dic, n_targets=3)
+    with pytest.raises(ValueError, match="snapshots must be finite"):
+        omp_recover(np.stack([y, y]), dic, n_targets=3)
+    with pytest.raises(ValueError, match="snapshots must be finite"):
+        bp_recover(y, dic)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(eps=np.nan), "eps must be nonnegative and finite"),
+    (dict(eps=np.inf), "eps must be nonnegative and finite"),
+    (dict(eps=-1.0), "eps must be nonnegative and finite"),
+    (dict(tol=-1.0), "tol must be positive and finite"),
+    (dict(tol=0.0), "tol must be positive and finite"),
+    (dict(tol=np.nan), "tol must be positive and finite"),
+    (dict(tol=np.inf), "tol must be positive and finite"),
+])
+def test_bp_rejects_nonfinite_eps_and_bad_tol(dic, kwargs, message):
+    # eps=nan and tol=-1 used to run to the cap and raise NonConvergenceError
+    y, _ = _planted(dic, [5], np.array([1.0]))
+    with pytest.raises(ValueError, match=message):
+        bp_recover(y, dic, max_iter=50, **kwargs)
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_bp_rejects_nonpositive_max_iter(dic, max_iter):
     y, _ = _planted(dic, [5], np.array([1.0]))
